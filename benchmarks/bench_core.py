@@ -1,27 +1,27 @@
 """Benchmark the simulation core: single-core interpreter throughput.
 
-Times the ``Cpu.run`` dispatch on two MiBench kernels (basicmath:
-ALU/branch heavy; sha: load/store heavy) under both untraced engines —
-the locals-bound fast loop and the superblock translator — and records
-instructions/second and cache accesses/second to ``BENCH_core.json``
-at the repo root.
+Times ``Cpu.run`` on two MiBench kernels (basicmath: ALU/branch heavy;
+sha: load/store heavy) under both engines — ``step`` (every
+instruction through ``Cpu.step``) and ``sb`` (hot code as compiled
+superblocks, the rest through step()) — and records instructions/second
+and cache accesses/second to ``BENCH_core.json`` at the repo root.
+``sb_vs_step`` is the translator's speedup over step(), both measured
+in this process, so host speed cancels out of the ratio.
 
-Two regression gates guard two generations of the core:
+Two regression gates:
 
-* the fast loop must stay at least :data:`MIN_SPEEDUP` above the
-  committed step()-loop era numbers (``pre_change``), and
-* the superblock engine (``sb/*`` rows) must stay at least
-  :data:`SB_MIN_SPEEDUP` above :data:`FAST_COMMITTED` — the fast-loop
-  rows committed to ``BENCH_core.json`` on the same host immediately
-  before the translator landed.
+* every in-order row must stay at least :data:`MIN_SPEEDUP` above the
+  seed interpreter's committed throughput (``pre_change``), and
+* the superblock rows (``sb/*``) must hold the absolute
+  :data:`SB_FLOOR` instructions/s.
 
 ``identical_output`` is not taken on faith: this bench re-runs a
-reduced kernel through the fast loop, the superblock engine and the
-step() reference and diffs the full architectural state (all 56 PMU
-events, registers, exit code) before publishing any number.  The sb
-verification pass doubles as the translator warm-up: the source→code
-cache is hot when measurement starts, so the ``sb/*`` rows report
-steady-state throughput rather than first-compile cost.
+reduced kernel through the superblock engine and a bare step() loop
+and diffs the full architectural state (all 56 PMU events, registers,
+exit code) before publishing any number.  The sb verification pass
+doubles as the translator warm-up: the source→code cache is hot when
+measurement starts, so the ``sb/*`` rows report steady-state
+throughput rather than first-compile cost.
 
 The host has one CPU and real scheduler noise, so every gated row is
 the best of :data:`REPEATS` fresh runs — min-of-N is the standard
@@ -38,28 +38,28 @@ from repro.cpu import engine_override
 from repro.kernel import System
 from repro.workloads import get_workload
 
-#: step()-loop throughput on the reference 1-core host, captured before
-#: the fast dispatch loop replaced it (see docs/PARALLELISM.md).
+#: The seed interpreter's throughput on the reference 1-core host (see
+#: docs/PARALLELISM.md).
 PRE_CHANGE = {
     "instructions_per_s": 65_593,
     "cache_accesses_per_s": 172_555,
 }
 
-#: The regression bar: the fast loop must hold at least this multiple
-#: of the pre-change throughput.
+#: The regression bar: every in-order row must hold at least this
+#: multiple of the pre-change throughput.
 MIN_SPEEDUP = 2.0
 
-#: Fast-loop instructions/s committed to BENCH_core.json on this host
-#: immediately before the superblock engine landed; the sb/* rows are
-#: gated against these, not against a same-run fast measurement, so a
-#: globally slow host cannot flatter the ratio.
-FAST_COMMITTED = {
-    "basicmath": 543_857,
-    "sha": 768_026,
+#: Absolute sb/* floors, instructions/s: twice the interpreter rows
+#: committed on the reference host just before the superblock engine
+#: landed (543,857 and 768,026).  Fixed numbers, not a same-run ratio,
+#: so a globally slow host cannot flatter them.
+SB_FLOOR = {
+    "basicmath": 1_087_714,
+    "sha": 1_536_052,
 }
 
-#: The superblock bar: sb/* throughput vs the committed fast rows.
-SB_MIN_SPEEDUP = 2.0
+#: The engines measured, each as ``<engine>/<kernel>`` rows.
+ENGINES = ("step", "sb")
 
 #: Best-of-N runs per gated row (1-core host, noisy neighbours; the
 #: observed spread between a quiet and a contended run exceeds 30%,
@@ -85,7 +85,7 @@ def _spawn(name, iterations, uarch="inorder"):
     return system, system.spawn("/bin/bench")
 
 
-def _measure(name, iterations, uarch="inorder", engine="fast",
+def _measure(name, iterations, uarch="inorder", engine="sb",
              repeats=REPEATS):
     best = None
     with engine_override(engine):
@@ -125,24 +125,22 @@ def _identical_output():
         while not reference.cpu.state.halted:
             reference.cpu.step()
         expected = _snapshot(reference)
-        for engine in ("fast", "sb"):
-            with engine_override(engine):
-                system, run = _spawn(name, iterations)
-                system.run()
-            if _snapshot(run) != expected:
-                return False
+        with engine_override("sb"):
+            system, run = _spawn(name, iterations)
+            system.run()
+        if _snapshot(run) != expected:
+            return False
     return True
 
 
 @pytest.fixture(scope="module")
 def core_runs():
-    assert _identical_output(), "run() engines diverged from step()"
-    runs = {name: _measure(name, iterations)
-            for name, iterations in KERNELS}
-    runs.update({
-        f"sb/{name}": _measure(name, iterations, engine="sb")
+    assert _identical_output(), "the sb engine diverged from step()"
+    runs = {
+        f"{engine}/{name}": _measure(name, iterations, engine=engine)
+        for engine in ENGINES
         for name, iterations in KERNELS
-    })
+    }
     runs.update({
         f"ooo/{name}": _measure(name, iterations, uarch="ooo",
                                 engine="sb", repeats=1)
@@ -154,54 +152,44 @@ def core_runs():
 def test_core_throughput_baseline(benchmark, core_runs):
     runs = benchmark.pedantic(lambda: core_runs, rounds=1, iterations=1)
 
-    speedups = {
-        name: round(
-            runs[name]["instructions_per_s"]
-            / PRE_CHANGE["instructions_per_s"], 2
-        )
-        for name, _ in KERNELS
-    }
-    sb_vs_fast_committed = {
+    sb_vs_step = {
         name: round(
             runs[f"sb/{name}"]["instructions_per_s"]
-            / FAST_COMMITTED[name], 2
+            / runs[f"step/{name}"]["instructions_per_s"], 2
         )
         for name, _ in KERNELS
     }
     ooo_vs_inorder = {
         name: round(
             runs[f"ooo/{name}"]["instructions_per_s"]
-            / runs[name]["instructions_per_s"], 2
+            / runs[f"sb/{name}"]["instructions_per_s"], 2
         )
         for name, _ in OOO_KERNELS
     }
     write_bench_json(
         "core",
-        knobs={**dict(KERNELS),
-               **{f"sb/{name}": iterations
+        knobs={**{f"{engine}/{name}": iterations
+                  for engine in ENGINES
                   for name, iterations in KERNELS},
                **{f"ooo/{name}": iterations
                   for name, iterations in OOO_KERNELS}},
         runs=runs,
         pre_change=PRE_CHANGE,
-        speedup_vs_pre_change=speedups,
-        fast_committed=FAST_COMMITTED,
-        sb_vs_fast_committed=sb_vs_fast_committed,
+        sb_floor=SB_FLOOR,
+        sb_vs_step=sb_vs_step,
         ooo_vs_inorder_instr_per_s=ooo_vs_inorder,
         identical_output=True,  # asserted in the core_runs fixture
     )
 
-    lines = [f"core baseline — run() engines vs pre-change "
-             f"{PRE_CHANGE['instructions_per_s']:,} instr/s"]
+    lines = ["core baseline — run() under each engine"]
     for name, run in runs.items():
-        if name in speedups:
-            note = f"({speedups[name]:.1f}x)"
-        elif name.startswith("sb/"):
-            note = (f"({sb_vs_fast_committed[name[3:]]:.2f}x of "
-                    f"committed fast loop)")
+        engine, kernel = name.split("/", 1)
+        if engine == "sb":
+            note = f"({sb_vs_step[kernel]:.2f}x of step)"
+        elif engine == "ooo":
+            note = f"({ooo_vs_inorder[kernel]:.2f}x of sb)"
         else:
-            note = (f"({ooo_vs_inorder[name.split('/', 1)[1]]:.2f}x "
-                    f"of inorder)")
+            note = ""
         lines.append(
             f"  {name:14s}: {run['instructions_per_s']:>9,} instr/s, "
             f"{run['cache_accesses_per_s']:>9,} cache acc/s {note}"
@@ -212,14 +200,17 @@ def test_core_throughput_baseline(benchmark, core_runs):
         benchmark.extra_info[f"{name}_instructions_per_s"] = \
             run["instructions_per_s"]
 
-    # Regression gates.  The fast in-order path must not decay back
-    # toward the step()-loop era, and the superblock engine must hold
-    # its 2x over the committed fast rows — both bars sit far below
-    # the measured ratios so host jitter cannot flake them, while
-    # still catching any real regression.  The ooo/* runs are reported
-    # but not gated — the Tomasulo interpreter is a different machine.
-    for name, _ in KERNELS:
-        assert runs[name]["instructions_per_s"] >= \
-            MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"], name
-        assert runs[f"sb/{name}"]["instructions_per_s"] >= \
-            SB_MIN_SPEEDUP * FAST_COMMITTED[name], f"sb/{name}"
+    # Regression gates.  No in-order row may decay back toward the
+    # seed interpreter, and the superblock engine must hold its
+    # absolute floor — both bars sit below the measured rows so host
+    # jitter cannot flake them, while still catching any real
+    # regression.  The ooo/* runs are reported but not gated — the
+    # Tomasulo interpreter is a different machine.
+    for engine in ENGINES:
+        for name, _ in KERNELS:
+            assert runs[f"{engine}/{name}"]["instructions_per_s"] >= \
+                MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"], \
+                f"{engine}/{name}"
+    for name, floor in SB_FLOOR.items():
+        assert runs[f"sb/{name}"]["instructions_per_s"] >= floor, \
+            f"sb/{name}"

@@ -291,8 +291,8 @@ def build_parser():
     parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
         help="execution engine for every simulated CPU: 'step' (the "
-             "single-instruction reference), 'fast' (the locals-bound "
-             "interpreter loop) or 'sb' (the superblock translator, "
+             "single-instruction reference) or 'sb' (hot code as "
+             "compiled superblocks, everything else through step(); "
              f"default {DEFAULT_ENGINE}). Ambient only — never part of "
              "manifests or run ids, so the same experiment run under "
              "different engines compares byte-identical",

@@ -1,6 +1,6 @@
 """Superblock translation: hot straight-line runs become closures.
 
-The in-order core's fast loop still pays per-instruction dispatch: one
+The in-order core's step() pays per-instruction dispatch: one
 decode-cache lookup, one opcode compare chain, several dict updates.
 This module removes that tax for the straight-line portions of hot
 code.  When an entry PC has been dispatched :data:`SuperblockEngine.
@@ -14,7 +14,7 @@ as one call.
 The region is a *superblock* proper, not just a basic block:
 unconditional direct jumps (``JMP``) do not end it — their constant
 target is followed at translation time (the jump itself costs exactly
-what the fast loop charges: one ``branch_instructions`` bump plus the
+what step() charges: one ``branch_instructions`` bump plus the
 base cycle cost), so the short runs that assembly loops fracture into
 ``…; jmp next`` chains fuse back into one closure.  Collection stops
 when a jump target (or sequential fall-through) re-enters a pc already
@@ -43,11 +43,11 @@ code therefore:
 
 Deoptimisation contract
 -----------------------
-Blocks contain no conditional control flow, no indirect jumps, no
-calls/returns, no syscalls and no serialising instructions — those
-*terminate* translation and stay in the dispatcher (only direct
-``JMP``, whose target is a compile-time constant, is internalised).
-The remaining exits mid-block are:
+Blocks contain no indirect jumps, no calls/returns, no syscalls and
+no serialising instructions — those *terminate* translation and run
+through :meth:`Cpu.step` (direct ``JMP``, whose target is a
+compile-time constant, is internalised; a conditional branch becomes
+a side exit).  The remaining exits mid-block are:
 
 * **faults** (memory/alignment/protection): the closure's exception
   path flushes the counters retired so far (a compile-time table keyed
@@ -61,8 +61,8 @@ The remaining exits mid-block are:
   instruction executes;
 * **pause boundaries** (chunked ``run(max_instructions=…)`` calls and
   watchdog strides) never happen mid-block: the dispatcher only enters
-  a block whose full length fits before the next boundary, and
-  single-steps otherwise.
+  a block whose full length fits before the next boundary, and calls
+  step() otherwise.
 
 Invalidation rules
 ------------------
@@ -398,7 +398,7 @@ class _Codegen:
         ]
 
     def _emit_fetch(self, index, pc):
-        """I-cache line / I-TLB page charges, as the fast loop does them.
+        """I-cache line / I-TLB page charges, as step() does them.
 
         The first-ever instruction checks against the live locality
         state; after that check ``last_iline``/``last_ipage`` equal the
@@ -549,8 +549,8 @@ class _Codegen:
         the wrong-path pc in the engine's hand-off cell so the
         dispatcher runs ``Cpu._mispredict`` *after* the closure has
         committed — at that point the PMU, cache and register state
-        are exactly what the fast loop has when it calls
-        ``_mispredict`` mid-iteration, so the speculative wrong-path
+        are exactly what step() has when it calls
+        ``_mispredict`` mid-instruction, so the speculative wrong-path
         walk (the Spectre machinery) observes an identical machine.
         """
         # Branches are cycle sync points: flush pending costs so every
@@ -618,7 +618,7 @@ class _Codegen:
             self.counts[2] += 1
             self.add_cycles(self.div_extra)
         if rd == 0:
-            return  # the fast loop skips the computation entirely
+            return  # r0 ignores writes, so skip the computation
         if op == _LI:
             self.emit(f"{self.wreg(rd)} = {imm & MASK32}")
             return
@@ -740,7 +740,7 @@ class _Codegen:
         value = self.reg(rs1)
         self.reg(13)  # sp is read (decremented) before being written
         sp = self.wreg(13)
-        # sp moves *before* the store, as in step()/the fast loop — a
+        # sp moves *before* the store, as in step() — a
         # faulting push leaves the decremented sp behind.
         self.emit(f"{sp} = ({sp} - 4) & 4294967295")
         self.emit(f"_sw({sp}, {value})")
@@ -900,9 +900,9 @@ class _Codegen:
                 src.append("    _n_l1r = 0")
                 src.append("    _n_l1w = 0")
             # Fault path: flush partial progress keyed by the live pc,
-            # sync the object, re-raise.  The run() dispatcher re-reads
-            # the synced object so its finally-clause writes the same
-            # values back.
+            # sync the object, re-raise.  run() writes the returned
+            # tuple back only on a normal return, so the synced object
+            # is what the caller sees.
             src.append("    try:")
             src += [f"        {line}" for line in self.lines]
             src.append("    except BaseException:")

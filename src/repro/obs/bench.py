@@ -63,8 +63,12 @@ def _ensure_benchmarks_importable():
 # -- suite drivers ----------------------------------------------------
 
 def _suite_core(quick):
-    """Interpreter throughput: instr/s per kernel, both engines."""
-    from benchmarks.bench_core import KERNELS, _measure
+    """Interpreter throughput: instr/s per kernel and engine.
+
+    ``sb/<kernel>.sb_vs_step`` is the translator's speedup over step(),
+    both rows measured in this process.
+    """
+    from benchmarks.bench_core import ENGINES, KERNELS, _measure
 
     kernels = (tuple((name, max(1, iters // 5))
                      for name, iters in KERNELS)
@@ -73,14 +77,17 @@ def _suite_core(quick):
              "uarch": "inorder"}
     metrics = {}
     for name, iterations in kernels:
-        for engine in ("fast", "sb"):
-            prefix = name if engine == "fast" else f"sb/{name}"
+        for engine in ENGINES:
+            prefix = f"{engine}/{name}"
             measured = _measure(name, iterations, engine=engine)
             metrics[f"{prefix}.instructions_per_s"] = \
                 measured["instructions_per_s"]
             metrics[f"{prefix}.cache_accesses_per_s"] = \
                 measured["cache_accesses_per_s"]
             metrics[f"{prefix}.wall_s"] = measured["wall_s"]
+        metrics[f"sb/{name}.sb_vs_step"] = round(
+            metrics[f"sb/{name}.instructions_per_s"]
+            / metrics[f"step/{name}.instructions_per_s"], 2)
     return knobs, metrics
 
 
@@ -258,9 +265,9 @@ def regression_floors():
     """Metric floors derived from the committed baselines.
 
     * ``core`` floors are **host-independent**: the BENCH_core contract
-      is "≥ MIN_SPEEDUP × the pre-fast-path interpreter", so any box
-      that can't clear that bar has genuinely regressed (or is not a
-      box we benchmark on).
+      is "every row ≥ MIN_SPEEDUP × the seed interpreter, and sb/* ≥
+      its absolute SB_FLOOR", so any box that can't clear those bars
+      has genuinely regressed (or is not a box we benchmark on).
     * ``exec`` floors are generous fractions of the committed serial
       cells/s — sweep wall time swings with host load, so only a halving
       counts as a regression signal.
@@ -282,18 +289,15 @@ def regression_floors():
             MIN_SPEEDUP * PRE_CHANGE["instructions_per_s"]
         )
     try:
-        from benchmarks.bench_core import FAST_COMMITTED, SB_MIN_SPEEDUP
+        from benchmarks.bench_core import SB_FLOOR
     except ImportError:
-        FAST_COMMITTED = None
-    if FAST_COMMITTED is not None:
-        # The superblock engine's bar, keyed exactly per kernel so the
-        # bare-suffix fallback above never mixes the two gates: sb/*
-        # must hold SB_MIN_SPEEDUP × the fast-loop rows committed to
-        # BENCH_core.json when the translator landed.
-        for name, committed in FAST_COMMITTED.items():
-            floors[("core", f"sb/{name}.instructions_per_s")] = (
-                SB_MIN_SPEEDUP * committed
-            )
+        SB_FLOOR = None
+    if SB_FLOOR is not None:
+        # The superblock engine's absolute bar, keyed exactly per
+        # kernel so the bare-suffix fallback above never mixes the two
+        # gates.
+        for name, floor in SB_FLOOR.items():
+            floors[("core", f"sb/{name}.instructions_per_s")] = floor
     baseline = _load_baseline("exec")
     if baseline is not None:
         serial = (baseline.get("runs") or {}).get("1") or {}

@@ -23,7 +23,7 @@ tests hash it.
 Gating mirrors the tracer exactly: cores bind :func:`current_profiler`
 once at construction and divert to an instrumented loop only when the
 ambient profiler is enabled *and* its config is active.  The disabled
-default (:data:`NULL_PROFILER`) leaves the fast interpreter loop
+default (:data:`NULL_PROFILER`) leaves the ``run()`` loop
 untouched — a run with no profiler and a run with a fully-filtered one
 (``ProfileConfig(subsystems=())``) execute the identical code path.
 """
@@ -69,8 +69,8 @@ class ProfileConfig:
 
     ``subsystems`` is the enabled subset of :data:`SUBSYSTEMS` (``None``
     means all).  An *empty* tuple is the "enabled but fully filtered"
-    state: the profiler object exists, but no core binds it, so the
-    fast path is untouched — the profiling analogue of
+    state: the profiler object exists, but no core binds it, so
+    ``run()`` is untouched — the profiling analogue of
     ``TraceConfig(categories=())``.  ``top_blocks`` bounds the exported
     basic-block ranking per cell.
     """

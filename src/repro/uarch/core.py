@@ -41,11 +41,11 @@ Execution engines
     *How* ``run()`` retires instructions is a core-private choice, not
     part of the contract: the ambient engine knob (``--engine`` /
     ``REPRO_ENGINE``, see :mod:`repro.cpu.engine`) selects between the
-    in-order core's step loop, fast loop and superblock translator,
-    and a core is free to ignore it — the OoO core does.  Whatever
-    the engine, the observable machine must stay bit-identical to a
-    ``step()``-driven run; engine choice never enters manifests or
-    run ids.
+    in-order core's step() loop and its superblock translator (which
+    deopts to step()), and a core is free to ignore it — the OoO core
+    does.  Whatever the engine, the observable machine must stay
+    bit-identical to a ``step()``-driven run; engine choice never
+    enters manifests or run ids.
 """
 
 import abc

@@ -6,12 +6,18 @@ re-derive, so sharing them keeps the suite fast without coupling tests.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.attack import SpectreConfig, build_spectre
 from repro.kernel import System, build_binary
 from repro.workloads import get_workload
 
 SECRET = b"TheMagicWords!!!"
+
+#: Deeper, randomised Hypothesis runs: ``pytest --hypothesis-profile=ci``.
+#: Tests that pin a fixed-seed tier-1 budget (the generated sb-vs-step
+#: loops in ``tests/cpu/test_differential.py``) defer to it when active.
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture()

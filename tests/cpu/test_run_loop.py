@@ -1,18 +1,20 @@
-"""The run() fast loop vs the step() reference, bit for bit.
+"""The run() loop vs a bare step() loop, bit for bit.
 
-``Cpu.run`` keeps pc / cycles / fetch-locality / the register file in
-locals and dispatches on int tuples; ``Cpu.step`` is the readable
-single-instruction reference.  These tests pin that the two leave the
-machine in *identical* observable state — registers, virtual cycles,
-all 56 PMU events, cache and TLB counters, process output — across
-branchy code, full Spectre attacks (mispredicts + wrong-path
-speculation), syscalls, and the ``execve`` image swap that replaces the
-register file and flushes the decode cache mid-run.
+``Cpu.run`` under the ambient engine (``sb`` by default) runs hot code
+as compiled superblock closures and everything else through
+``Cpu.step``, the single-instruction reference.  These tests pin that
+a run() and a hand-driven step() loop leave the machine in *identical*
+observable state — registers, virtual cycles, all 56 PMU events,
+process output — across branchy code, full Spectre attacks
+(mispredicts + wrong-path speculation), pauses, watchdog budgets,
+syscalls, and the ``execve`` image swap that replaces the register
+file and flushes the decode cache mid-run.
 """
 
 import pytest
 
 from repro.attack import SpectreConfig, build_spectre
+from repro.cpu import engine_override
 from repro.core.resilience.watchdog import Watchdog
 from repro.errors import BudgetExceededError
 from repro.kernel import System, build_binary
@@ -72,13 +74,13 @@ def _snapshot(process):
     }
 
 
-class TestFastLoopEquivalence:
+class TestRunLoopEquivalence:
     def test_branchy_program_identical_state(self):
-        fast = _spawn(_BRANCHY)
+        looped = _spawn(_BRANCHY)
         reference = _spawn(_BRANCHY)
-        fast.cpu.run()
+        looped.cpu.run()
         _run_stepwise(reference.cpu)
-        assert _snapshot(fast) == _snapshot(reference)
+        assert _snapshot(looped) == _snapshot(reference)
 
     def test_spectre_attack_identical_state(self):
         # Mispredicts, wrong-path speculation, clflush, rdcycle, fences:
@@ -86,41 +88,44 @@ class TestFastLoopEquivalence:
         program = build_spectre(
             "v1", SpectreConfig(secret_length=len(SECRET), repeats=1)
         )
-        fast = _spawn(program=program, target_data=SECRET)
+        looped = _spawn(program=program, target_data=SECRET)
         reference = _spawn(program=program, target_data=SECRET)
-        fast.cpu.run()
+        looped.cpu.run()
         _run_stepwise(reference.cpu)
-        assert _snapshot(fast) == _snapshot(reference)
+        assert _snapshot(looped) == _snapshot(reference)
 
     def test_max_instructions_pauses_at_same_point(self):
-        fast = _spawn(_BRANCHY)
+        looped = _spawn(_BRANCHY)
         reference = _spawn(_BRANCHY)
         # Pause/resume in odd chunk sizes; the paused states must agree
         # chunk for chunk (this is what quantum scheduling does).
         for chunk in (1, 7, 193, 1000, 50_000):
-            fast.cpu.run(max_instructions=chunk)
+            looped.cpu.run(max_instructions=chunk)
             _run_stepwise(reference.cpu, max_instructions=chunk)
-            assert _snapshot(fast) == _snapshot(reference)
+            assert _snapshot(looped) == _snapshot(reference)
 
     def test_budget_exhaustion_leaves_synced_state(self):
-        fast = _spawn(_BRANCHY)
-        reference = _spawn(_BRANCHY)
-        fast.cpu.watchdog = Watchdog(2048, label="fast")
+        # The reference is run() under the step engine: the same
+        # watchdog charging, with every instruction through step().
+        looped = _spawn(_BRANCHY)
+        with engine_override("step"):
+            reference = _spawn(_BRANCHY)
+        looped.cpu.watchdog = Watchdog(2048, label="looped")
         reference.cpu.watchdog = Watchdog(2048, label="ref")
         with pytest.raises(BudgetExceededError):
-            fast.cpu.run()
+            looped.cpu.run()
         with pytest.raises(BudgetExceededError):
-            reference.cpu._run_traced()
-        assert _snapshot(fast) == _snapshot(reference)
+            reference.cpu.run()
+        assert _snapshot(looped) == _snapshot(reference)
 
 
 class TestDecodeCacheAcrossExecve:
     """Decode entries are hit, flushed at execve, and refilled.
 
     Both images map at the same virtual addresses, so the swap rewrites
-    the bytes *under* cached pcs — a stale decode entry (or a stale
-    register-file alias inside the fast loop: execve installs a fresh
-    regs list) shows up as the old image's behaviour leaking through.
+    the bytes *under* cached pcs — a stale decode entry, superblock or
+    register-file alias (execve installs a fresh regs list) shows up as
+    the old image's behaviour leaking through.
     """
 
     def _system(self):
@@ -163,8 +168,8 @@ class TestDecodeCacheAcrossExecve:
         )
 
     def test_execve_state_matches_stepwise_reference(self):
-        fast = self._system().spawn("/bin/caller")
+        looped = self._system().spawn("/bin/caller")
         reference = self._system().spawn("/bin/caller")
-        fast.cpu.run()
+        looped.cpu.run()
         _run_stepwise(reference.cpu)
-        assert _snapshot(fast) == _snapshot(reference)
+        assert _snapshot(looped) == _snapshot(reference)

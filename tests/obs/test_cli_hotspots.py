@@ -72,13 +72,13 @@ class TestExperimentHotspotsFlag:
 
 class TestBenchTrend:
     def _seed_history(self, path, instructions_per_s):
-        # The core suite emits fast-loop rows and sb/* superblock rows;
-        # the sb floors are exact-keyed, so the synthetic row carries
-        # both (sb comfortably over its 2x-of-fast-committed bar).
+        # The core suite emits step/* and sb/* rows; the sb floors are
+        # exact-keyed, so the synthetic row carries both (sb comfortably
+        # over its absolute floor).
         row = build_row(
             "core", {"kernels": {"basicmath": 400}},
             {
-                "basicmath.instructions_per_s": instructions_per_s,
+                "step/basicmath.instructions_per_s": instructions_per_s,
                 "sb/basicmath.instructions_per_s": 3 * instructions_per_s,
                 "sb/sha.instructions_per_s": 3 * instructions_per_s,
             },

@@ -4,7 +4,7 @@ Acceptance properties:
 
 1. **Gating** — a disabled profiler (the default) or an
    enabled-but-fully-filtered one binds nothing: the cores run the
-   identical uninstrumented fast path.
+   identical uninstrumented run() loop.
 2. **Non-perturbation** — an *enabled* profiler observes without
    perturbing: architectural state (cycles, PMU counters, output
    bytes) is bit-identical to an unprofiled run, on both cores.
