@@ -188,6 +188,337 @@ def _branch_taken(op, a, b):
     raise AssertionError(f"not a branch opcode: {op}")
 
 
+def speculate(core, start_pc, window):
+    """Execute up to *window* wrong-path instructions on *core* from
+    *start_pc*; returns the number executed.
+
+    This is the one wrong-path walker: the in-order core calls it with
+    ``spec_window``, the out-of-order core with its free ROB slots.  It
+    works on a shadow copy of ``core.state.regs`` and a store buffer,
+    so architectural state never changes; only cache/TLB fills and the
+    ``spec_*`` counters persist.
+
+    This walk dominates wall time on mispredict-heavy workloads, so —
+    like the superblock closures — it inlines the L1I/L1D LRU hit
+    paths and the TLB MRU shortcut, and batches the commutative integer
+    tallies (PMU ``spec_*`` counters, cache/TLB hit statistics) into
+    locals flushed once at squash.  Every *stateful* mutation (LRU
+    clocks and stamps, dirty bits, miss-path fills, replacement) still
+    happens on the live objects in exact program order — the cache
+    disturbance *is* the Spectre side channel, so only counts that
+    commute may be deferred.
+    """
+    regs = core.state.copy_regs()
+    store_buffer = {}
+    counters = core.pmu.counters
+    memory = core.memory
+    dcache = core._decode_cache
+    caches = core.caches
+    data_fast = caches.data_access_fast
+    icache_fast = caches.instruction_access_fast
+    dtlb = core.dtlb
+    itlb = core.itlb
+    dtlb_access = dtlb.access
+    itlb_access = itlb.access
+    invisible = core.config.invisible_speculation
+    l1i = caches.l1i
+    l1d = caches.l1d
+    inline_i = l1i._lru and l1i._trace is None
+    if inline_i:
+        ii_shift = l1i._line_shift
+        ii_mask = l1i._set_mask
+        ii_ishift = l1i._index_shift
+        ii_maps = l1i._maps
+        ii_clocks = l1i._clocks
+        ii_stamps = l1i._stamps
+    inline_d = l1d._lru and l1d._trace is None
+    if inline_d:
+        dd_shift = l1d._line_shift
+        dd_mask = l1d._set_mask
+        dd_ishift = l1d._index_shift
+        dd_maps = l1d._maps
+        dd_clocks = l1d._clocks
+        dd_stamps = l1d._stamps
+        dd_dirty = l1d._dirty
+    itlb_last = itlb._last_page
+    dtlb_last = dtlb._last_page
+    n_loads = n_fills = 0
+    n_ihit = n_itlb = n_dtlb = n_dhit_r = n_dhit_w = 0
+    #: last I-line probed with a hit — sequential fetches in the
+    #: same line skip the set/tag recompute and the dict probe and
+    #: go straight to the (mandatory, per-access) LRU bump.
+    ii_last_ln = -1
+    ii_last_si = ii_last_way = 0
+    pc = start_pc
+    executed = 0
+
+    for _ in range(window):
+        entry = dcache.get(pc)
+        if entry is None:
+            try:
+                blob = memory.fetch(pc, INSTRUCTION_SIZE)
+                instruction = decode(blob)
+            except (MemoryFault, EncodingError):
+                break
+            entry = (int(instruction.opcode), instruction.rd,
+                     instruction.rs1, instruction.rs2,
+                     instruction.imm)
+            dcache[pc] = entry
+        # Wrong-path fetch fills the I-cache / ITLB too.
+        if inline_i:
+            ln = pc >> ii_shift
+            if ln == ii_last_ln:
+                si = ii_last_si
+                clock = ii_clocks[si] + 1
+                ii_clocks[si] = clock
+                ii_stamps[si][ii_last_way] = clock
+                n_ihit += 1
+            else:
+                si = ln & ii_mask
+                way = ii_maps[si].get(ln >> ii_ishift)
+                if way is not None:
+                    clock = ii_clocks[si] + 1
+                    ii_clocks[si] = clock
+                    ii_stamps[si][way] = clock
+                    n_ihit += 1
+                    ii_last_ln = ln
+                    ii_last_si = si
+                    ii_last_way = way
+                else:
+                    icache_fast(pc)
+                    ii_last_ln = -1
+        else:
+            icache_fast(pc)
+        page = pc >> 12
+        if page == itlb_last:
+            n_itlb += 1
+        else:
+            itlb_access(pc)
+            itlb_last = page
+
+        executed += 1
+        op, rd, rs1, rs2, imm = entry
+        next_pc = (pc + INSTRUCTION_SIZE) & MASK32
+
+        # ALU ranges lead the dispatch (they dominate wrong-path
+        # mixes), with the hottest opcodes decoded inline instead
+        # of through the _alu_* helpers.
+        if _ADD <= op <= _SLTU:
+            if rd != 0:
+                if op == _ADD:
+                    regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
+                elif op == _SUB:
+                    regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
+                elif op == _AND:
+                    regs[rd] = regs[rs1] & regs[rs2]
+                elif op == _OR:
+                    regs[rd] = regs[rs1] | regs[rs2]
+                elif op == _XOR:
+                    regs[rd] = regs[rs1] ^ regs[rs2]
+                else:
+                    regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
+        elif _ADDI <= op <= _SLTI:
+            if rd != 0:
+                if op == _ADDI:
+                    regs[rd] = (regs[rs1] + imm) & MASK32
+                elif op == _SHLI:
+                    regs[rd] = (regs[rs1] << (imm & 31)) & MASK32
+                elif op == _SHRI:
+                    regs[rd] = regs[rs1] >> (imm & 31)
+                else:
+                    regs[rd] = _alu_rri(op, regs[rs1], imm)
+        elif op == _LI:
+            if rd != 0:
+                regs[rd] = imm & MASK32
+        elif op == _MOV:
+            if rd != 0:
+                regs[rd] = regs[rs1]
+        elif op == _LW or op == _LB:
+            address = (regs[rs1] + imm) & MASK32
+            n_loads += 1
+            if invisible:
+                # Serviced from the speculative buffer: data flows to
+                # the wrong path, but no cache line is installed.
+                pass
+            else:
+                page = address >> 12
+                if page == dtlb_last:
+                    n_dtlb += 1
+                else:
+                    dtlb_access(address)
+                    dtlb_last = page
+                hit = False
+                if inline_d:
+                    ln = address >> dd_shift
+                    si = ln & dd_mask
+                    way = dd_maps[si].get(ln >> dd_ishift)
+                    if way is not None:
+                        clock = dd_clocks[si] + 1
+                        dd_clocks[si] = clock
+                        dd_stamps[si][way] = clock
+                        n_dhit_r += 1
+                        hit = True
+                if not hit and data_fast(address, False)[1] == 3:
+                    n_fills += 1
+            key = (address, 4 if op == _LW else 1)
+            if key in store_buffer:
+                value = store_buffer[key]
+            else:
+                try:
+                    if op == _LW:
+                        value = memory.load_word(address)
+                    else:
+                        value = memory.load_byte(address)
+                except MemoryFault:
+                    # Faulting wrong-path loads are suppressed; the
+                    # cache fill above already happened, as on real
+                    # hardware with a physically-mapped probe array.
+                    break
+            if rd != 0:
+                regs[rd] = value & MASK32
+        elif op == _SW or op == _SB:
+            address = (regs[rs1] + imm) & MASK32
+            size = 4 if op == _SW else 1
+            store_buffer[(address, size)] = regs[rs2] & (
+                MASK32 if size == 4 else 0xFF
+            )
+            page = address >> 12
+            if page == dtlb_last:
+                n_dtlb += 1
+            else:
+                dtlb_access(address)
+                dtlb_last = page
+            hit = False
+            if inline_d:
+                ln = address >> dd_shift
+                si = ln & dd_mask
+                way = dd_maps[si].get(ln >> dd_ishift)
+                if way is not None:
+                    clock = dd_clocks[si] + 1
+                    dd_clocks[si] = clock
+                    dd_stamps[si][way] = clock
+                    dd_dirty[si][way] = True
+                    n_dhit_w += 1
+                    hit = True
+            if not hit:
+                data_fast(address, True)
+        elif _BEQ <= op <= _BGEU:
+            # Nested branches resolve immediately on the wrong path.
+            if _branch_taken(op, regs[rs1], regs[rs2]):
+                next_pc = (pc + imm) & MASK32
+        elif op == _JMP:
+            next_pc = (pc + imm) & MASK32
+        elif op == _JMPR:
+            next_pc = (regs[rs1] + imm) & MASK32
+        elif op == _CALL or op == _CALLR:
+            return_address = next_pc
+            sp = (regs[13] - 4) & MASK32
+            regs[13] = sp
+            store_buffer[(sp, 4)] = return_address
+            if op == _CALL:
+                next_pc = (pc + imm) & MASK32
+            else:
+                next_pc = (regs[rs1] + imm) & MASK32
+        elif op == _RET:
+            sp = regs[13]
+            key = (sp, 4)
+            if key in store_buffer:
+                target = store_buffer[key]
+            else:
+                try:
+                    target = memory.load_word(sp)
+                except MemoryFault:
+                    break
+            regs[13] = (sp + 4) & MASK32
+            next_pc = target & MASK32
+        elif op == _PUSH:
+            sp = (regs[13] - 4) & MASK32
+            regs[13] = sp
+            store_buffer[(sp, 4)] = regs[rs1]
+            hit = False
+            if inline_d:
+                ln = sp >> dd_shift
+                si = ln & dd_mask
+                way = dd_maps[si].get(ln >> dd_ishift)
+                if way is not None:
+                    clock = dd_clocks[si] + 1
+                    dd_clocks[si] = clock
+                    dd_stamps[si][way] = clock
+                    dd_dirty[si][way] = True
+                    n_dhit_w += 1
+                    hit = True
+            if not hit:
+                data_fast(sp, True)
+        elif op == _POP:
+            sp = regs[13]
+            key = (sp, 4)
+            if key in store_buffer:
+                value = store_buffer[key]
+            else:
+                try:
+                    value = memory.load_word(sp)
+                except MemoryFault:
+                    break
+            hit = False
+            if inline_d:
+                ln = sp >> dd_shift
+                si = ln & dd_mask
+                way = dd_maps[si].get(ln >> dd_ishift)
+                if way is not None:
+                    clock = dd_clocks[si] + 1
+                    dd_clocks[si] = clock
+                    dd_stamps[si][way] = clock
+                    n_dhit_r += 1
+                    hit = True
+            if not hit:
+                data_fast(sp, False)
+            regs[13] = (sp + 4) & MASK32
+            if rd != 0:
+                regs[rd] = value
+        elif op == _RDCYCLE:
+            if rd != 0:
+                regs[rd] = int(core.cycles) & MASK32
+        elif op == _RDINSTRET:
+            if rd != 0:
+                regs[rd] = counters["instructions"] & MASK32
+        elif op == _NOP:
+            pass
+        else:
+            # HALT, SYSCALL, MFENCE, CLFLUSH: serialising — wrong-path
+            # execution stops here (clflush is never speculated).
+            break
+        pc = next_pc
+
+    # Batched tallies (all plain integer adds, so deferring them
+    # to squash time is exact).
+    if executed:
+        counters["spec_instructions"] += executed
+    if n_loads:
+        counters["spec_loads"] += n_loads
+    if n_fills:
+        counters["spec_cache_fills"] += n_fills
+    if n_ihit:
+        stats = l1i.stats
+        stats.accesses += n_ihit
+        stats.read_accesses += n_ihit
+        stats.hits += n_ihit
+    if n_dhit_r or n_dhit_w:
+        stats = l1d.stats
+        hits = n_dhit_r + n_dhit_w
+        stats.accesses += hits
+        stats.hits += hits
+        if n_dhit_r:
+            stats.read_accesses += n_dhit_r
+        if n_dhit_w:
+            stats.write_accesses += n_dhit_w
+    if n_itlb:
+        itlb.hits += n_itlb
+    if n_dtlb:
+        dtlb.hits += n_dtlb
+    counters["squashed_instructions"] += executed
+    return executed
+
+
 class Cpu:
     """One simulated hardware thread."""
 
@@ -357,7 +688,8 @@ class Cpu:
         self.cycles += penalty
         self.pmu.counters["mispredict_penalty_cycles"] += int(penalty)
         if wrong_path_pc is not None:
-            executed = self._speculate(wrong_path_pc)
+            executed = speculate(self, wrong_path_pc,
+                                 self.config.spec_window)
             if trace is not None:
                 # One span per speculative window: enter at the branch,
                 # squash after *executed* wrong-path instructions.
@@ -369,333 +701,6 @@ class Cpu:
                 )
         elif trace is not None:
             trace.event("cpu.mispredict", pc=self.state.pc)
-
-    # ------------------------------------------------------------------
-    # wrong-path (speculative) execution
-    # ------------------------------------------------------------------
-    def _speculate(self, start_pc):
-        """Execute the wrong path; only cache/TLB fills persist.
-
-        This walk dominates wall time on mispredict-heavy workloads
-        (one window is up to ``spec_window`` instructions), so — like
-        the superblock closures — it inlines the L1I/L1D LRU hit paths
-        and the TLB MRU shortcut, and batches the commutative integer
-        tallies (PMU ``spec_*`` counters, cache/TLB hit statistics)
-        into locals flushed once at squash.  Every *stateful* mutation
-        (LRU clocks and stamps, dirty bits, miss-path fills,
-        replacement) still happens on the live objects in exact program
-        order — the cache disturbance *is* the Spectre side channel, so
-        only counts that commute may be deferred.
-        """
-        regs = self.state.copy_regs()
-        store_buffer = {}
-        counters = self.pmu.counters
-        memory = self.memory
-        dcache = self._decode_cache
-        caches = self.caches
-        data_fast = caches.data_access_fast
-        icache_fast = caches.instruction_access_fast
-        dtlb = self.dtlb
-        itlb = self.itlb
-        dtlb_access = dtlb.access
-        itlb_access = itlb.access
-        invisible = self.config.invisible_speculation
-        l1i = caches.l1i
-        l1d = caches.l1d
-        inline_i = l1i._lru and l1i._trace is None
-        if inline_i:
-            ii_shift = l1i._line_shift
-            ii_mask = l1i._set_mask
-            ii_ishift = l1i._index_shift
-            ii_maps = l1i._maps
-            ii_clocks = l1i._clocks
-            ii_stamps = l1i._stamps
-        inline_d = l1d._lru and l1d._trace is None
-        if inline_d:
-            dd_shift = l1d._line_shift
-            dd_mask = l1d._set_mask
-            dd_ishift = l1d._index_shift
-            dd_maps = l1d._maps
-            dd_clocks = l1d._clocks
-            dd_stamps = l1d._stamps
-            dd_dirty = l1d._dirty
-        itlb_last = itlb._last_page
-        dtlb_last = dtlb._last_page
-        n_loads = n_fills = 0
-        n_ihit = n_itlb = n_dtlb = n_dhit_r = n_dhit_w = 0
-        #: last I-line probed with a hit — sequential fetches in the
-        #: same line skip the set/tag recompute and the dict probe and
-        #: go straight to the (mandatory, per-access) LRU bump.
-        ii_last_ln = -1
-        ii_last_si = ii_last_way = 0
-        pc = start_pc
-        executed = 0
-
-        for _ in range(self.config.spec_window):
-            entry = dcache.get(pc)
-            if entry is None:
-                try:
-                    blob = memory.fetch(pc, INSTRUCTION_SIZE)
-                    instruction = decode(blob)
-                except (MemoryFault, EncodingError):
-                    break
-                entry = (int(instruction.opcode), instruction.rd,
-                         instruction.rs1, instruction.rs2,
-                         instruction.imm)
-                dcache[pc] = entry
-            # Wrong-path fetch fills the I-cache / ITLB too.
-            if inline_i:
-                ln = pc >> ii_shift
-                if ln == ii_last_ln:
-                    si = ii_last_si
-                    clock = ii_clocks[si] + 1
-                    ii_clocks[si] = clock
-                    ii_stamps[si][ii_last_way] = clock
-                    n_ihit += 1
-                else:
-                    si = ln & ii_mask
-                    way = ii_maps[si].get(ln >> ii_ishift)
-                    if way is not None:
-                        clock = ii_clocks[si] + 1
-                        ii_clocks[si] = clock
-                        ii_stamps[si][way] = clock
-                        n_ihit += 1
-                        ii_last_ln = ln
-                        ii_last_si = si
-                        ii_last_way = way
-                    else:
-                        icache_fast(pc)
-                        ii_last_ln = -1
-            else:
-                icache_fast(pc)
-            page = pc >> 12
-            if page == itlb_last:
-                n_itlb += 1
-            else:
-                itlb_access(pc)
-                itlb_last = page
-
-            executed += 1
-            op, rd, rs1, rs2, imm = entry
-            next_pc = (pc + INSTRUCTION_SIZE) & MASK32
-
-            # ALU ranges lead the dispatch (they dominate wrong-path
-            # mixes), with the hottest opcodes decoded inline instead
-            # of through the _alu_* helpers.
-            if _ADD <= op <= _SLTU:
-                if rd != 0:
-                    if op == _ADD:
-                        regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
-                    elif op == _SUB:
-                        regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
-                    elif op == _AND:
-                        regs[rd] = regs[rs1] & regs[rs2]
-                    elif op == _OR:
-                        regs[rd] = regs[rs1] | regs[rs2]
-                    elif op == _XOR:
-                        regs[rd] = regs[rs1] ^ regs[rs2]
-                    else:
-                        regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-            elif _ADDI <= op <= _SLTI:
-                if rd != 0:
-                    if op == _ADDI:
-                        regs[rd] = (regs[rs1] + imm) & MASK32
-                    elif op == _SHLI:
-                        regs[rd] = (regs[rs1] << (imm & 31)) & MASK32
-                    elif op == _SHRI:
-                        regs[rd] = regs[rs1] >> (imm & 31)
-                    else:
-                        regs[rd] = _alu_rri(op, regs[rs1], imm)
-            elif op == _LI:
-                if rd != 0:
-                    regs[rd] = imm & MASK32
-            elif op == _MOV:
-                if rd != 0:
-                    regs[rd] = regs[rs1]
-            elif op == _LW or op == _LB:
-                address = (regs[rs1] + imm) & MASK32
-                n_loads += 1
-                if invisible:
-                    # Serviced from the speculative buffer: data flows to
-                    # the wrong path, but no cache line is installed.
-                    pass
-                else:
-                    page = address >> 12
-                    if page == dtlb_last:
-                        n_dtlb += 1
-                    else:
-                        dtlb_access(address)
-                        dtlb_last = page
-                    hit = False
-                    if inline_d:
-                        ln = address >> dd_shift
-                        si = ln & dd_mask
-                        way = dd_maps[si].get(ln >> dd_ishift)
-                        if way is not None:
-                            clock = dd_clocks[si] + 1
-                            dd_clocks[si] = clock
-                            dd_stamps[si][way] = clock
-                            n_dhit_r += 1
-                            hit = True
-                    if not hit and data_fast(address, False)[1] == 3:
-                        n_fills += 1
-                key = (address, 4 if op == _LW else 1)
-                if key in store_buffer:
-                    value = store_buffer[key]
-                else:
-                    try:
-                        if op == _LW:
-                            value = memory.load_word(address)
-                        else:
-                            value = memory.load_byte(address)
-                    except MemoryFault:
-                        # Faulting wrong-path loads are suppressed; the
-                        # cache fill above already happened, as on real
-                        # hardware with a physically-mapped probe array.
-                        break
-                if rd != 0:
-                    regs[rd] = value & MASK32
-            elif op == _SW or op == _SB:
-                address = (regs[rs1] + imm) & MASK32
-                size = 4 if op == _SW else 1
-                store_buffer[(address, size)] = regs[rs2] & (
-                    MASK32 if size == 4 else 0xFF
-                )
-                page = address >> 12
-                if page == dtlb_last:
-                    n_dtlb += 1
-                else:
-                    dtlb_access(address)
-                    dtlb_last = page
-                hit = False
-                if inline_d:
-                    ln = address >> dd_shift
-                    si = ln & dd_mask
-                    way = dd_maps[si].get(ln >> dd_ishift)
-                    if way is not None:
-                        clock = dd_clocks[si] + 1
-                        dd_clocks[si] = clock
-                        dd_stamps[si][way] = clock
-                        dd_dirty[si][way] = True
-                        n_dhit_w += 1
-                        hit = True
-                if not hit:
-                    data_fast(address, True)
-            elif _BEQ <= op <= _BGEU:
-                # Nested branches resolve immediately on the wrong path.
-                if _branch_taken(op, regs[rs1], regs[rs2]):
-                    next_pc = (pc + imm) & MASK32
-            elif op == _JMP:
-                next_pc = (pc + imm) & MASK32
-            elif op == _JMPR:
-                next_pc = (regs[rs1] + imm) & MASK32
-            elif op == _CALL or op == _CALLR:
-                return_address = next_pc
-                sp = (regs[13] - 4) & MASK32
-                regs[13] = sp
-                store_buffer[(sp, 4)] = return_address
-                if op == _CALL:
-                    next_pc = (pc + imm) & MASK32
-                else:
-                    next_pc = (regs[rs1] + imm) & MASK32
-            elif op == _RET:
-                sp = regs[13]
-                key = (sp, 4)
-                if key in store_buffer:
-                    target = store_buffer[key]
-                else:
-                    try:
-                        target = memory.load_word(sp)
-                    except MemoryFault:
-                        break
-                regs[13] = (sp + 4) & MASK32
-                next_pc = target & MASK32
-            elif op == _PUSH:
-                sp = (regs[13] - 4) & MASK32
-                regs[13] = sp
-                store_buffer[(sp, 4)] = regs[rs1]
-                hit = False
-                if inline_d:
-                    ln = sp >> dd_shift
-                    si = ln & dd_mask
-                    way = dd_maps[si].get(ln >> dd_ishift)
-                    if way is not None:
-                        clock = dd_clocks[si] + 1
-                        dd_clocks[si] = clock
-                        dd_stamps[si][way] = clock
-                        dd_dirty[si][way] = True
-                        n_dhit_w += 1
-                        hit = True
-                if not hit:
-                    data_fast(sp, True)
-            elif op == _POP:
-                sp = regs[13]
-                key = (sp, 4)
-                if key in store_buffer:
-                    value = store_buffer[key]
-                else:
-                    try:
-                        value = memory.load_word(sp)
-                    except MemoryFault:
-                        break
-                hit = False
-                if inline_d:
-                    ln = sp >> dd_shift
-                    si = ln & dd_mask
-                    way = dd_maps[si].get(ln >> dd_ishift)
-                    if way is not None:
-                        clock = dd_clocks[si] + 1
-                        dd_clocks[si] = clock
-                        dd_stamps[si][way] = clock
-                        n_dhit_r += 1
-                        hit = True
-                if not hit:
-                    data_fast(sp, False)
-                regs[13] = (sp + 4) & MASK32
-                if rd != 0:
-                    regs[rd] = value
-            elif op == _RDCYCLE:
-                if rd != 0:
-                    regs[rd] = int(self.cycles) & MASK32
-            elif op == _RDINSTRET:
-                if rd != 0:
-                    regs[rd] = counters["instructions"] & MASK32
-            elif op == _NOP:
-                pass
-            else:
-                # HALT, SYSCALL, MFENCE, CLFLUSH: serialising — wrong-path
-                # execution stops here (clflush is never speculated).
-                break
-            pc = next_pc
-
-        # Batched tallies (all plain integer adds, so deferring them
-        # to squash time is exact).
-        if executed:
-            counters["spec_instructions"] += executed
-        if n_loads:
-            counters["spec_loads"] += n_loads
-        if n_fills:
-            counters["spec_cache_fills"] += n_fills
-        if n_ihit:
-            stats = l1i.stats
-            stats.accesses += n_ihit
-            stats.read_accesses += n_ihit
-            stats.hits += n_ihit
-        if n_dhit_r or n_dhit_w:
-            stats = l1d.stats
-            hits = n_dhit_r + n_dhit_w
-            stats.accesses += hits
-            stats.hits += hits
-            if n_dhit_r:
-                stats.read_accesses += n_dhit_r
-            if n_dhit_w:
-                stats.write_accesses += n_dhit_w
-        if n_itlb:
-            itlb.hits += n_itlb
-        if n_dtlb:
-            dtlb.hits += n_dtlb
-        counters["squashed_instructions"] += executed
-        return executed
 
     # ------------------------------------------------------------------
     # architectural execution

@@ -17,7 +17,6 @@ from repro.uarch.core import (
 from repro.uarch.ooo import OooCore, OooParams
 from repro.uarch.structures import (
     LoadStoreQueue,
-    RegisterStatus,
     ReorderBuffer,
     ReservationStations,
     RobEntry,
@@ -29,7 +28,6 @@ __all__ = [
     "LoadStoreQueue",
     "OooCore",
     "OooParams",
-    "RegisterStatus",
     "ReorderBuffer",
     "ReservationStations",
     "RobEntry",

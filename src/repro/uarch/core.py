@@ -35,7 +35,10 @@ Speculation contract
     ``spec_cache_fills`` / ``squashed_instructions`` — that persistence
     is the paper's covert channel and the HID's feature signal, so a
     core that squashes cache fills would silently break every
-    experiment downstream.
+    experiment downstream.  Both registered cores meet it through one
+    walker, :func:`repro.cpu.cpu.speculate`; they differ only in the
+    window they pass it (``spec_window`` in order, the free ROB slots
+    out of order).
 
 Execution engines
     *How* ``run()`` retires instructions is a core-private choice, not

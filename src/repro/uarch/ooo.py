@@ -20,19 +20,20 @@ Speculation
 On a branch misprediction the wrong path executes in the ROB's *free
 slots* — reorder-buffer depth, not a fixed window, bounds transient
 execution, which is the microarchitectural knob Spectre exploits on
-real OoO hardware (Kocher et al.).  Wrong-path uops allocate tail ROB
-entries, rename into the register-status table, read through a store
-buffer (their stores never reach memory), and are squashed by restoring
-the checkpointed rename map taken at the branch.  Their instruction and
-data fetches still fill the caches and TLBs — the covert channel — and
-they account the same ``spec_*`` / ``squashed_instructions`` PMU events
-the in-order core does, with a genuinely different signature (the
-window breathes with ROB occupancy instead of being a constant).
+real OoO hardware (Kocher et al.).  The walk itself is the in-order
+core's: :func:`repro.cpu.cpu.speculate`, called with
+``rob.free_slots()`` as its window.  It runs on a shadow register file
+and a store buffer (wrong-path stores never reach memory), so nothing
+in the ROB, the rename file or ``arch_regs`` changes; its instruction
+and data fetches still fill the caches and TLBs — the covert channel —
+and it accounts the ``spec_*`` / ``squashed_instructions`` PMU events.
+The signature still differs from the in-order core's because the
+window breathes with ROB occupancy instead of being a constant.
 
 Serialising instructions (``rdcycle``, ``mfence``, ``clflush``,
-``syscall``, ``halt``) drain the ROB and retire immediately; the fast
-quantum loop also drains at every exit path, so cross-quantum state is
-always architectural and a run is bit-deterministic regardless of how
+``syscall``, ``halt``) drain the ROB and retire immediately; every exit
+path of ``run()`` drains it too, so cross-quantum state is always
+architectural and a run is bit-deterministic regardless of how
 ``run()`` calls slice it.
 """
 
@@ -43,6 +44,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.cpu import (
     MASK32,
     CpuConfig,
+    speculate,
     _alu_rri,
     _alu_rrr,
     _branch_taken,
@@ -82,7 +84,6 @@ from repro.cpu.state import CpuState
 from repro.errors import (
     CpuFault,
     EncodingError,
-    MemoryFault,
     PrivilegeFault,
     ShadowStackViolation,
 )
@@ -94,7 +95,6 @@ from time import perf_counter
 from repro.uarch.core import register_uarch
 from repro.uarch.structures import (
     LoadStoreQueue,
-    RegisterStatus,
     ReorderBuffer,
     ReservationStations,
     RobEntry,
@@ -157,7 +157,6 @@ class OooCore:
         p = self.params
         num_regs = len(self.state.regs)
         self.rob = ReorderBuffer(p.rob_depth)
-        self.rat = RegisterStatus(num_regs)
         self.rs = ReservationStations(
             {"alu": p.rs_alu, "mem": p.rs_mem, "br": p.rs_branch}
         )
@@ -165,15 +164,15 @@ class OooCore:
         #: Committed register file (the ROB writes back here); converges
         #: with the rename file ``state.regs`` whenever the ROB drains.
         self.arch_regs = list(self.state.regs)
-        #: Per-register result-ready times (the scheduling half of the
-        #: rename table; values live in ``state.regs``).
+        #: Per-register result-ready times (values live in
+        #: ``state.regs``).
         self._ready = [0.0] * num_regs
         self._fetch_clock = 0.0
         self._last_commit = 0.0
         self._inv_commit = 1.0 / p.commit_width
         self._seq = 0
-        #: Tests may set this to a list to record (seq, pc, wrong_path)
-        #: per commit and pin the in-order-commit invariant.
+        #: Tests may set this to a list to record (seq, pc) per commit
+        #: and pin the in-order-commit invariant.
         self.commit_log = None
 
         tracer = current_tracer()
@@ -228,7 +227,6 @@ class OooCore:
             self.shadow_stack.reset()
         self.predictor.rsb.reset()
         self.rob.clear()
-        self.rat.clear()
         self.rs.clear()
         self.lsq.clear()
         self._ready = [self.cycles] * len(self._ready)
@@ -261,15 +259,13 @@ class OooCore:
         if slot > self.cycles:
             self.cycles = slot
         arch = self.arch_regs
-        rat = self.rat
         for register, value in entry.writes:
             arch[register] = value
-            rat.retire(register, entry)
         if entry.kind == "mem":
             self.lsq.release(entry.seq)
         log = self.commit_log
         if log is not None:
-            log.append((entry.seq, entry.pc, entry.wrong_path))
+            log.append((entry.seq, entry.pc))
         return slot
 
     def _commit_until(self, now):
@@ -319,10 +315,11 @@ class OooCore:
         return t
 
     # ------------------------------------------------------------------
-    # misprediction recovery + wrong-path execution
+    # misprediction recovery
     # ------------------------------------------------------------------
     def _recover(self, pc, wrong_path_pc, resolve_time, fclock):
-        """Mispredict: transient wrong path, squash, redirect fetch."""
+        """Mispredict: run the wrong path in the free ROB slots through
+        the shared walker, squash it, and redirect fetch."""
         trace = self._tr_cpu
         ts0 = trace.now() if trace is not None else 0
         metrics = self._metrics
@@ -341,7 +338,8 @@ class OooCore:
                                 self.rob.free_slots())
                 metrics.observe("ooo.rob.occupancy",
                                 len(self.rob.entries))
-            executed = self._speculate(wrong_path_pc)
+            executed = speculate(self, wrong_path_pc,
+                                 self.rob.free_slots())
             if metrics is not None:
                 metrics.inc("ooo.squashes")
                 if executed:
@@ -359,187 +357,6 @@ class OooCore:
         elif trace is not None:
             trace.event("cpu.mispredict", pc=pc)
         return fclock
-
-    def _speculate(self, start_pc):
-        """Execute the wrong path in the ROB's free slots.
-
-        Wrong-path uops allocate tail ROB entries and rename into the
-        register-status table; stores stay in a store buffer.  The
-        squash pops the tail and restores the rename-map checkpoint —
-        only cache/TLB fills (and the ``spec_*`` counters) persist.
-        """
-        window = self.rob.free_slots()
-        if window <= 0:
-            return 0
-        regs = self.state.regs
-        checkpoint_regs = list(regs)
-        checkpoint_rat = self.rat.checkpoint()
-        rat_set = self.rat.set
-        rob_entries = self.rob.entries
-        store_buffer = {}
-        counters = self.pmu.counters
-        memory = self.memory
-        dcache = self._decode_cache
-        data_fast = self.caches.data_access_fast
-        icache_fast = self.caches.instruction_access_fast
-        dtlb_access = self.dtlb.access
-        itlb_access = self.itlb.access
-        invisible = self.config.invisible_speculation
-        seq = self._seq
-        pc = start_pc
-        executed = 0
-
-        for _ in range(window):
-            entry = dcache.get(pc)
-            if entry is None:
-                try:
-                    blob = memory.fetch(pc, INSTRUCTION_SIZE)
-                    instruction = decode(blob)
-                except (MemoryFault, EncodingError):
-                    break
-                entry = (int(instruction.opcode), instruction.rd,
-                         instruction.rs1, instruction.rs2,
-                         instruction.imm)
-                dcache[pc] = entry
-            # Wrong-path fetch fills the I-cache / ITLB too.
-            icache_fast(pc)
-            itlb_access(pc)
-
-            executed += 1
-            counters["spec_instructions"] += 1
-            op, rd, rs1, rs2, imm = entry
-            next_pc = (pc + INSTRUCTION_SIZE) & MASK32
-            node = RobEntry(seq, pc, op, "spec", 0.0, wrong_path=True)
-            seq += 1
-            rob_entries.append(node)
-
-            if op == _LW or op == _LB:
-                address = (regs[rs1] + imm) & MASK32
-                counters["spec_loads"] += 1
-                if invisible:
-                    # Serviced from the speculative buffer: data flows
-                    # to the wrong path, but no cache line is installed.
-                    pass
-                else:
-                    dtlb_access(address)
-                    if data_fast(address, False)[1] == 3:
-                        counters["spec_cache_fills"] += 1
-                key = (address, 4 if op == _LW else 1)
-                if key in store_buffer:
-                    value = store_buffer[key]
-                else:
-                    try:
-                        if op == _LW:
-                            value = memory.load_word(address)
-                        else:
-                            value = memory.load_byte(address)
-                    except MemoryFault:
-                        # Faulting wrong-path loads are suppressed; the
-                        # cache fill above already happened.
-                        break
-                if rd != 0:
-                    regs[rd] = value & MASK32
-                    rat_set(rd, node)
-            elif op == _SW or op == _SB:
-                address = (regs[rs1] + imm) & MASK32
-                size = 4 if op == _SW else 1
-                store_buffer[(address, size)] = regs[rs2] & (
-                    MASK32 if size == 4 else 0xFF
-                )
-                dtlb_access(address)
-                data_fast(address, True)
-            elif _ADD <= op <= _SLTU:
-                if rd != 0:
-                    regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-                    rat_set(rd, node)
-            elif _ADDI <= op <= _SLTI:
-                if rd != 0:
-                    regs[rd] = _alu_rri(op, regs[rs1], imm)
-                    rat_set(rd, node)
-            elif op == _LI:
-                if rd != 0:
-                    regs[rd] = imm & MASK32
-                    rat_set(rd, node)
-            elif op == _MOV:
-                if rd != 0:
-                    regs[rd] = regs[rs1]
-                    rat_set(rd, node)
-            elif _BEQ <= op <= _BGEU:
-                # Nested branches resolve immediately on the wrong path.
-                if _branch_taken(op, regs[rs1], regs[rs2]):
-                    next_pc = (pc + imm) & MASK32
-            elif op == _JMP:
-                next_pc = (pc + imm) & MASK32
-            elif op == _JMPR:
-                next_pc = (regs[rs1] + imm) & MASK32
-            elif op == _CALL or op == _CALLR:
-                return_address = next_pc
-                sp = (regs[13] - 4) & MASK32
-                regs[13] = sp
-                rat_set(13, node)
-                store_buffer[(sp, 4)] = return_address
-                if op == _CALL:
-                    next_pc = (pc + imm) & MASK32
-                else:
-                    next_pc = (regs[rs1] + imm) & MASK32
-            elif op == _RET:
-                sp = regs[13]
-                key = (sp, 4)
-                if key in store_buffer:
-                    target = store_buffer[key]
-                else:
-                    try:
-                        target = memory.load_word(sp)
-                    except MemoryFault:
-                        break
-                regs[13] = (sp + 4) & MASK32
-                rat_set(13, node)
-                next_pc = target & MASK32
-            elif op == _PUSH:
-                sp = (regs[13] - 4) & MASK32
-                regs[13] = sp
-                rat_set(13, node)
-                store_buffer[(sp, 4)] = regs[rs1]
-                data_fast(sp, True)
-            elif op == _POP:
-                sp = regs[13]
-                key = (sp, 4)
-                if key in store_buffer:
-                    value = store_buffer[key]
-                else:
-                    try:
-                        value = memory.load_word(sp)
-                    except MemoryFault:
-                        break
-                data_fast(sp, False)
-                regs[13] = (sp + 4) & MASK32
-                rat_set(13, node)
-                if rd != 0:
-                    regs[rd] = value
-                    rat_set(rd, node)
-            elif op == _RDCYCLE:
-                if rd != 0:
-                    regs[rd] = int(self.cycles) & MASK32
-                    rat_set(rd, node)
-            elif op == _RDINSTRET:
-                if rd != 0:
-                    regs[rd] = counters["instructions"] & MASK32
-                    rat_set(rd, node)
-            elif op == _NOP:
-                pass
-            else:
-                # HALT, SYSCALL, MFENCE, CLFLUSH: serialising —
-                # wrong-path execution stops here.
-                break
-            pc = next_pc
-
-        counters["squashed_instructions"] += executed
-        self._seq = seq
-        squashed = self.rob.squash_tail()
-        assert squashed == executed, "squash missed wrong-path uops"
-        regs[:] = checkpoint_regs
-        self.rat.restore(checkpoint_rat)
-        return executed
 
     # ------------------------------------------------------------------
     # architectural execution
@@ -571,7 +388,6 @@ class OooCore:
         caches = self.caches
         rob_entries = self.rob.entries
         rob_depth = self.rob.depth
-        rat_set = self.rat.set
         rs_acquire = self.rs.acquire
         rs_issue = self.rs.issue
         lsq = self.lsq
@@ -735,10 +551,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "alu", done, writes)
+                    )
                 elif _ADD <= op <= _SLTU:
                     counters["alu_instructions"] += 1
                     latency = 1.0
@@ -761,10 +576,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "alu", done, writes)
+                    )
                 elif op == _LI:
                     counters["alu_instructions"] += 1
                     done = dispatch + 1.0
@@ -775,10 +589,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "alu", done, writes)
+                    )
                 elif op == _MOV:
                     counters["alu_instructions"] += 1
                     start = dispatch
@@ -793,10 +606,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "alu", done, writes)
+                    )
                 elif op == _LW or op == _LB:
                     counters["load_instructions"] += 1
                     address = (regs[rs1] + imm) & MASK32
@@ -820,10 +632,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "mem", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "mem", done, writes)
+                    )
                 elif op == _SW or op == _SB:
                     counters["store_instructions"] += 1
                     address = (regs[rs1] + imm) & MASK32
@@ -871,10 +682,9 @@ class OooCore:
                     ready[13] = done
                     rs_issue("mem", done)
                     lsq_entries.append((seq, done))
-                    node = RobEntry(seq, pc, op, "mem", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "mem", done, ((13, sp),))
+                    )
                 elif op == _POP:
                     counters["stack_instructions"] += 1
                     sp = regs[13]
@@ -900,10 +710,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((13, new_sp), (rd, value))
-                    node = RobEntry(seq, pc, op, "mem", done, writes)
-                    for register, _ in writes:
-                        rat_set(register, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "mem", done, writes)
+                    )
                 elif _BEQ <= op <= _BGEU:
                     counters["branch_instructions"] += 1
                     counters["cond_branch_instructions"] += 1
@@ -985,10 +794,9 @@ class OooCore:
                     done = start + 1.0
                     ready[13] = done
                     rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "br", done, ((13, sp),))
+                    )
                     next_pc = (pc + imm) & MASK32
                 elif op == _CALLR:
                     counters["branch_instructions"] += 1
@@ -1019,10 +827,9 @@ class OooCore:
                     done = start + 1.0
                     ready[13] = done
                     rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "br", done, ((13, sp),))
+                    )
                     if predicted is None:
                         if fclock < done:
                             fclock = done
@@ -1063,10 +870,9 @@ class OooCore:
                     done = start + latency
                     ready[13] = done
                     rs_issue("br", done)
-                    node = RobEntry(seq, pc, op, "br", done,
-                                    ((13, new_sp),))
-                    rat_set(13, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "br", done, ((13, new_sp),))
+                    )
                     if mispredicted:
                         fclock = self._recover(pc, predicted, done,
                                                fclock)
@@ -1103,10 +909,9 @@ class OooCore:
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
-                    node = RobEntry(seq, pc, op, "alu", done, writes)
-                    if writes:
-                        rat_set(rd, node)
-                    rob_entries.append(node)
+                    rob_entries.append(
+                        RobEntry(seq, pc, op, "alu", done, writes)
+                    )
                 elif op == _SYSCALL:
                     counters["syscall_instructions"] += 1
                     fclock = self._serialize(fclock, syscall_latency)

@@ -1,17 +1,17 @@
 """Tomasulo bookkeeping structures for the out-of-order core.
 
 These are the textbook pieces — reorder buffer, reservation stations,
-register-status (rename) table, load/store queue — kept as small,
-separately-testable classes.  :class:`~repro.uarch.ooo.OooCore` drives
-them: the ROB bounds transient execution (its free slots *are* the
-speculation window), the reservation stations and the LSQ model issue
-back-pressure, and the register-status table is what a misprediction
-checkpoint restores.
+load/store queue — kept as small, separately-testable classes.
+:class:`~repro.uarch.ooo.OooCore` drives them: the ROB orders commit
+(and its free slots are the speculation window the shared wrong-path
+walker runs in), the reservation stations and the LSQ model issue
+back-pressure.
 
 The functional register values live in the core's rename file
-(``state.regs``); the structures here carry the *schedule* — who
-produces each register, when results complete, what is still in
-flight.  ``Pmu``-visible time falls out of the commit stream.
+(``state.regs``) and their ready times in the core's ``_ready`` list;
+the structures here carry the rest of the *schedule* — when results
+complete, what is still in flight.  ``Pmu``-visible time falls out of
+the commit stream.
 """
 
 from collections import deque
@@ -20,31 +20,28 @@ from collections import deque
 class RobEntry:
     """One in-flight instruction, allocated at dispatch in program order."""
 
-    __slots__ = ("seq", "pc", "op", "kind", "completion", "writes",
-                 "wrong_path")
+    __slots__ = ("seq", "pc", "op", "kind", "completion", "writes")
 
-    def __init__(self, seq, pc, op, kind, completion, writes=(),
-                 wrong_path=False):
+    def __init__(self, seq, pc, op, kind, completion, writes=()):
         self.seq = seq
         self.pc = pc
         self.op = op
         self.kind = kind                  # "alu" | "mem" | "br"
         self.completion = completion      # result-ready time (cycles)
         self.writes = writes              # ((reg, value), ...) at commit
-        self.wrong_path = wrong_path
 
     def __repr__(self):
-        tag = " WRONG-PATH" if self.wrong_path else ""
         return (f"<RobEntry #{self.seq} pc={self.pc:#x} kind={self.kind}"
-                f" done={self.completion:.2f}{tag}>")
+                f" done={self.completion:.2f}>")
 
 
 class ReorderBuffer:
     """Program-ordered window of in-flight instructions.
 
     Entries enter at the tail at dispatch and leave at the head at
-    commit — strictly in order.  Wrong-path entries may only ever be
-    removed from the *tail* (a squash), never committed.
+    commit — strictly in order.  Only the architectural path allocates
+    entries: wrong-path instructions run in the free slots without
+    occupying them.
     """
 
     def __init__(self, depth):
@@ -73,52 +70,10 @@ class ReorderBuffer:
         return self.entries[0]
 
     def pop_head(self):
-        entry = self.entries.popleft()
-        assert not entry.wrong_path, \
-            "wrong-path uop reached the commit port"
-        return entry
-
-    def squash_tail(self):
-        """Drop every wrong-path entry off the tail; returns the count."""
-        squashed = 0
-        while self.entries and self.entries[-1].wrong_path:
-            self.entries.pop()
-            squashed += 1
-        return squashed
+        return self.entries.popleft()
 
     def clear(self):
         self.entries.clear()
-
-
-class RegisterStatus:
-    """The rename table: architectural register -> producing ROB entry.
-
-    ``None`` means the committed register file holds the value.  A
-    branch checkpoints the whole table; recovery restores it, which —
-    together with restoring the rename file values — is the "squash to
-    the checkpointed rename map" step.
-    """
-
-    def __init__(self, num_registers):
-        self.producers = [None] * num_registers
-
-    def checkpoint(self):
-        return list(self.producers)
-
-    def restore(self, snapshot):
-        self.producers[:] = snapshot
-
-    def set(self, register, entry):
-        self.producers[register] = entry
-
-    def retire(self, register, entry):
-        """Clear the mapping at commit if *entry* is still the producer."""
-        if self.producers[register] is entry:
-            self.producers[register] = None
-
-    def clear(self):
-        for index in range(len(self.producers)):
-            self.producers[index] = None
 
 
 class ReservationStations:

@@ -16,7 +16,8 @@ SECRET = b"TheMagicWords!!!"
 
 #: Deeper, randomised Hypothesis runs: ``pytest --hypothesis-profile=ci``.
 #: Tests that pin a fixed-seed tier-1 budget (the generated sb-vs-step
-#: loops in ``tests/cpu/test_differential.py``) defer to it when active.
+#: and inorder-vs-ooo loops in ``tests/cpu/test_differential.py``)
+#: defer to it when active.
 settings.register_profile("ci", max_examples=500, deadline=None)
 
 

@@ -10,10 +10,13 @@ timing reads, fences and data ``clflush``, a data-dependent forward
 branch and a call to a leaf — run long enough to cross the superblock
 engine's hot threshold, and run under both engines (``sb`` and
 ``step``) paused at drawn chunk sizes; the whole observable machine
-must agree at every pause.
+must agree at every pause.  The same loops (minus ``rdcycle``, whose
+value is a cycle count) also run on the in-order and the out-of-order
+core, whose architectural state must agree at every pause.
 """
 
 import dataclasses
+import hashlib
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,7 @@ from repro.isa.encoding import INSTRUCTION_SIZE, encode_program
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.mem.memory import Memory, PERM_R, PERM_W, PERM_X
+from repro.uarch import OooCore
 
 _RRR_OPS = [
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.MOD,
@@ -179,12 +183,13 @@ def _loop_mem():
     )
 
 
-def _loop_serial():
+def _loop_serial(rdcycle=True):
     """An op that ends a superblock: timing read, fence, data clflush."""
+    reads = ((Opcode.RDCYCLE, Opcode.RDINSTRET) if rdcycle
+             else (Opcode.RDINSTRET,))
     return st.one_of(
         st.builds(lambda op, rd: [Instruction(op, rd=rd)],
-                  st.sampled_from((Opcode.RDCYCLE, Opcode.RDINSTRET)),
-                  _DEST),
+                  st.sampled_from(reads), _DEST),
         st.just([Instruction(Opcode.MFENCE)]),
         st.builds(lambda offset: [Instruction(Opcode.CLFLUSH, rs1=_BASE,
                                               imm=offset)],
@@ -192,10 +197,10 @@ def _loop_serial():
     )
 
 
-def _loop_item(serial=True):
+def _loop_item(serial=True, rdcycle=True):
     kinds = [_loop_alu(), _loop_alu(), _loop_mem()]
     if serial:
-        kinds.append(_loop_serial())
+        kinds.append(_loop_serial(rdcycle))
     return st.one_of(kinds)
 
 
@@ -204,7 +209,7 @@ def _flat(items):
 
 
 @st.composite
-def _loop_program(draw):
+def _loop_program(draw, rdcycle=True):
     """``(instructions, initial regs)`` for one generated counted loop.
 
     Layout::
@@ -215,13 +220,15 @@ def _loop_program(draw):
         leaf:  leaf body; ret
 
     The tail holds no block-ending op, so ``tail; addi; bne`` always
-    compiles once hot.
+    compiles once hot.  ``rdcycle=False`` leaves the cycle-counter read
+    out of the draw.
     """
-    head = _flat(draw(st.lists(_loop_item(), min_size=1, max_size=6)))
-    skipped = _flat(draw(st.lists(_loop_item(), min_size=1, max_size=4)))
+    item = _loop_item(rdcycle=rdcycle)
+    head = _flat(draw(st.lists(item, min_size=1, max_size=6)))
+    skipped = _flat(draw(st.lists(item, min_size=1, max_size=4)))
     tail = _flat(draw(st.lists(_loop_item(serial=False), min_size=1,
                                max_size=4)))
-    leaf = _flat(draw(st.lists(_loop_item(), min_size=1, max_size=5)))
+    leaf = _flat(draw(st.lists(item, min_size=1, max_size=5)))
     op = draw(st.sampled_from(_BRANCH_OPS))
     a = draw(_ANY_REG)
     b = draw(_ANY_REG)
@@ -258,7 +265,7 @@ def _loop_program(draw):
     return program, regs
 
 
-def _loop_cpu(program, regs, mode):
+def _loop_cpu(program, regs, mode, core=Cpu):
     memory = Memory()
     blob = encode_program(program)
     memory.map_segment("text", _TEXT, max(4096, len(blob)),
@@ -269,7 +276,7 @@ def _loop_cpu(program, regs, mode):
     memory.map_segment("stack", _STACK_TOP - _STACK_SIZE, _STACK_SIZE,
                        PERM_R | PERM_W)
     with engine_override(mode):
-        cpu = Cpu(memory)
+        cpu = core(memory)
     for index, value in enumerate(regs):
         cpu.state.write_reg(index, value)
     cpu.state.pc = _TEXT
@@ -289,6 +296,20 @@ def _machine(cpu):
         "l1d": dataclasses.asdict(caches.l1d.stats),
         "itlb": (cpu.itlb.hits, cpu.itlb.misses),
         "dtlb": (cpu.dtlb.hits, cpu.dtlb.misses),
+    }
+
+
+def _architectural(cpu):
+    """The committed machine: regs, pc, retired count, data and stack."""
+    memory = cpu.memory
+    image = (memory.read_bytes(_DATA, _DATA_SIZE)
+             + memory.read_bytes(_STACK_TOP - _STACK_SIZE, _STACK_SIZE))
+    return {
+        "regs": list(cpu.state.regs),
+        "pc": cpu.state.pc,
+        "halted": cpu.state.halted,
+        "instructions": cpu.pmu.read()["instructions"],
+        "memory": hashlib.sha256(image).hexdigest(),
     }
 
 
@@ -322,3 +343,23 @@ class TestGeneratedLoopsSbVsStep:
         # the loop really ran hot: compiled code retired instructions
         assert sb._sb is not None and sb._sb.stats["translated"] > 0
         assert step._sb is None
+
+
+class TestGeneratedLoopsInorderVsOoo:
+    """inorder ≡ ooo on the committed machine at every pause."""
+
+    @_GENERATED
+    @given(_loop_program(rdcycle=False),
+           st.lists(st.integers(min_value=1, max_value=300), max_size=10))
+    def test_ooo_matches_inorder_at_every_pause(self, generated, chunks):
+        program, regs = generated
+        inorder = _loop_cpu(program, regs, "sb")
+        ooo = _loop_cpu(program, regs, "sb", core=OooCore)
+        for chunk in chunks:
+            assert inorder.run(max_instructions=chunk) == \
+                ooo.run(max_instructions=chunk)
+            assert _architectural(inorder) == _architectural(ooo)
+        inorder.run()
+        ooo.run()
+        assert inorder.state.halted and ooo.state.halted
+        assert _architectural(inorder) == _architectural(ooo)

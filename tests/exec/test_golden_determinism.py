@@ -2,8 +2,8 @@
 
 The tentpole's end-to-end acceptance: the same experiment produces the
 same artefacts whether it runs serially, on the warm worker pool, or is
-killed mid-sweep and resumed — *with* the fast interpreter loop and
-cell memoization on.  Reports and checkpoints must be byte-identical,
+killed mid-sweep and resumed — under the default superblock engine
+and with cell memoization on.  Reports and checkpoints must be byte-identical,
 and ``repro compare`` between the cold ledger run and a warm (memoized,
 parallel) ledger run must exit 0.
 """

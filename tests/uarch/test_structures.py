@@ -1,19 +1,16 @@
 """Unit tests for the Tomasulo bookkeeping structures."""
 
-import pytest
-
 from repro.uarch import (
     LoadStoreQueue,
-    RegisterStatus,
     ReorderBuffer,
     ReservationStations,
     RobEntry,
 )
 
 
-def _entry(seq, wrong_path=False, completion=0.0):
+def _entry(seq, completion=0.0):
     return RobEntry(seq, pc=seq * 8, op=0, kind="alu",
-                    completion=completion, wrong_path=wrong_path)
+                    completion=completion)
 
 
 class TestReorderBuffer:
@@ -35,47 +32,6 @@ class TestReorderBuffer:
         assert rob.head().seq == 0
         assert [rob.pop_head().seq for _ in range(3)] == [0, 1, 2]
         assert len(rob) == 0
-
-    def test_wrong_path_never_commits(self):
-        rob = ReorderBuffer(4)
-        rob.append(_entry(0, wrong_path=True))
-        with pytest.raises(AssertionError, match="commit port"):
-            rob.pop_head()
-
-    def test_squash_drops_only_the_wrong_path_tail(self):
-        rob = ReorderBuffer(8)
-        rob.append(_entry(0))
-        rob.append(_entry(1))
-        rob.append(_entry(2, wrong_path=True))
-        rob.append(_entry(3, wrong_path=True))
-        assert rob.squash_tail() == 2
-        assert [entry.seq for entry in rob] == [0, 1]
-        # Idempotent once the tail is clean.
-        assert rob.squash_tail() == 0
-
-
-class TestRegisterStatus:
-    def test_checkpoint_restore_round_trip(self):
-        rat = RegisterStatus(4)
-        good = _entry(0)
-        rat.set(1, good)
-        snapshot = rat.checkpoint()
-        rat.set(1, _entry(1, wrong_path=True))
-        rat.set(2, _entry(2, wrong_path=True))
-        rat.restore(snapshot)
-        assert rat.producers[1] is good
-        assert rat.producers[2] is None
-
-    def test_retire_clears_only_the_current_producer(self):
-        rat = RegisterStatus(4)
-        old = _entry(0)
-        new = _entry(1)
-        rat.set(3, old)
-        rat.set(3, new)         # renamed again before `old` commits
-        rat.retire(3, old)      # stale retire must not clobber `new`
-        assert rat.producers[3] is new
-        rat.retire(3, new)
-        assert rat.producers[3] is None
 
 
 class TestReservationStations:
