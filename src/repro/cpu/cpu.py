@@ -21,9 +21,13 @@ what the covert channel's flush+reload timer reads.
 
 Interpreter layout
 ------------------
-The decode cache stores flat ``(op, rd, rs1, rs2, imm)`` tuples with
-*op* a plain int, so dispatch compares ints and operand access is
-index-based — no dataclass or enum traffic per retired instruction.
+The decode cache stores the flat ``(op, rd, rs1, rs2, imm)`` tuples of
+:func:`repro.isa.semantics.decode_entry`, with *op* a plain int, so
+dispatch compares ints and operand access is index-based — no dataclass
+or enum traffic per retired instruction.  Opcode constants and every
+ALU result and branch condition come from :mod:`repro.isa.semantics`
+(``ALU[op]``, ``TAKEN[op]``); this module adds the memory effects, PMU
+events and cycle costs around them.
 :meth:`Cpu.step` is the single-instruction reference and the only
 interpreter: :meth:`Cpu.run` loops over it, except that under the
 default ``sb`` engine hot code runs as compiled superblocks
@@ -40,7 +44,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.engine import engine_mode
 from repro.cpu.pmu import Pmu
 from repro.cpu.shadow_stack import ShadowStack
-from repro.cpu.state import CpuState, to_signed
+from repro.cpu.state import CpuState
 from repro.errors import (
     CpuFault,
     EncodingError,
@@ -49,34 +53,16 @@ from repro.errors import (
     ShadowStackViolation,
 )
 from repro.cpu.superblock import SuperblockEngine
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
-from repro.isa.opcodes import Opcode
+from repro.isa.semantics import (
+    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT,
+    INSTRUCTION_SIZE, JMP, JMPR, LB, LI, LW, MASK32, MFENCE, MOD, MOV,
+    MUL, MULI, NOP, POP, PUSH, RDCYCLE, RDINSTRET, RET, SB, SLTI, SLTU,
+    SW, SYSCALL, TAKEN, decode_entry,
+)
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
 from time import perf_counter
-
-MASK32 = 0xFFFFFFFF
-
-# Dispatch constants: plain ints.  ``Opcode`` members are IntEnum (int
-# comparisons work), but int literals keep the hot dispatch free of any
-# enum attribute traffic.  The assertion below pins every constant to
-# the ISA definition, so they cannot drift silently.
-_NOP, _HALT = 0x00, 0x01
-_ADD, _SUB, _MUL, _DIV, _MOD = 0x10, 0x11, 0x12, 0x13, 0x14
-_AND, _OR, _XOR, _SHL, _SHR, _SRA, _SLT, _SLTU = (
-    0x15, 0x16, 0x17, 0x18, 0x19, 0x1A, 0x1B, 0x1C)
-_ADDI, _MULI, _ANDI, _ORI, _XORI = 0x20, 0x21, 0x22, 0x23, 0x24
-_SHLI, _SHRI, _SRAI, _SLTI, _LI, _MOV = 0x25, 0x26, 0x27, 0x28, 0x29, 0x2A
-_LW, _LB, _SW, _SB, _PUSH, _POP = 0x30, 0x31, 0x32, 0x33, 0x34, 0x35
-_BEQ, _BNE, _BLT, _BGE, _BLTU, _BGEU = 0x40, 0x41, 0x42, 0x43, 0x44, 0x45
-_JMP, _JMPR, _CALL, _CALLR, _RET = 0x48, 0x49, 0x4A, 0x4B, 0x4C
-_SYSCALL, _CLFLUSH, _MFENCE, _RDCYCLE, _RDINSTRET = (
-    0x50, 0x51, 0x52, 0x53, 0x54)
-
-assert all(
-    globals()[f"_{member.name}"] == member.value for member in Opcode
-), "dispatch constants drifted from the ISA definition"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,87 +91,19 @@ class CpuConfig:
     invisible_speculation: bool = False
 
 
-def _truncdiv(numerator, denominator):
-    """C-style truncating integer division (rounds toward zero)."""
-    quotient = abs(numerator) // abs(denominator)
-    if (numerator < 0) != (denominator < 0):
-        quotient = -quotient
-    return quotient
+def decode_at(core, pc):
+    """Decode the instruction at *pc* into *core*'s decode cache.
 
-
-def _alu_rrr(op, a, b):
-    """32-bit register-register ALU semantics."""
-    if op == _ADD:
-        return (a + b) & MASK32
-    if op == _SUB:
-        return (a - b) & MASK32
-    if op == _MUL:
-        return (a * b) & MASK32
-    if op == _DIV:
-        if b == 0:
-            return MASK32
-        return _truncdiv(to_signed(a), to_signed(b)) & MASK32
-    if op == _MOD:
-        if b == 0:
-            return a
-        sa, sb = to_signed(a), to_signed(b)
-        return (sa - sb * _truncdiv(sa, sb)) & MASK32
-    if op == _AND:
-        return a & b
-    if op == _OR:
-        return a | b
-    if op == _XOR:
-        return a ^ b
-    if op == _SHL:
-        return (a << (b & 31)) & MASK32
-    if op == _SHR:
-        return a >> (b & 31)
-    if op == _SRA:
-        return (to_signed(a) >> (b & 31)) & MASK32
-    if op == _SLT:
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if op == _SLTU:
-        return 1 if a < b else 0
-    raise AssertionError(f"not an RRR opcode: {op}")
-
-
-def _alu_rri(op, a, imm):
-    """32-bit register-immediate ALU semantics."""
-    if op == _ADDI:
-        return (a + imm) & MASK32
-    if op == _MULI:
-        return (a * imm) & MASK32
-    if op == _ANDI:
-        return a & (imm & MASK32)
-    if op == _ORI:
-        return a | (imm & MASK32)
-    if op == _XORI:
-        return a ^ (imm & MASK32)
-    if op == _SHLI:
-        return (a << (imm & 31)) & MASK32
-    if op == _SHRI:
-        return a >> (imm & 31)
-    if op == _SRAI:
-        return (to_signed(a) >> (imm & 31)) & MASK32
-    if op == _SLTI:
-        return 1 if to_signed(a) < imm else 0
-    raise AssertionError(f"not an RRI opcode: {op}")
-
-
-def _branch_taken(op, a, b):
-    if op == _BEQ:
-        return a == b
-    if op == _BNE:
-        return a != b
-    if op == _BLT:
-        return to_signed(a) < to_signed(b)
-    if op == _BGE:
-        return to_signed(a) >= to_signed(b)
-    if op == _BLTU:
-        return a < b
-    if op == _BGEU:
-        return a >= b
-    raise AssertionError(f"not a branch opcode: {op}")
+    Both cores' cold fetch path; an undecodable word is an
+    illegal-instruction :class:`CpuFault`.
+    """
+    blob = core.memory.fetch(pc, INSTRUCTION_SIZE)
+    try:
+        entry = decode_entry(blob)
+    except EncodingError as exc:
+        raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
+    core._decode_cache[pc] = entry
+    return entry
 
 
 def speculate(core, start_pc, window):
@@ -256,13 +174,9 @@ def speculate(core, start_pc, window):
         entry = dcache.get(pc)
         if entry is None:
             try:
-                blob = memory.fetch(pc, INSTRUCTION_SIZE)
-                instruction = decode(blob)
+                entry = decode_entry(memory.fetch(pc, INSTRUCTION_SIZE))
             except (MemoryFault, EncodingError):
                 break
-            entry = (int(instruction.opcode), instruction.rd,
-                     instruction.rs1, instruction.rs2,
-                     instruction.imm)
             dcache[pc] = entry
         # Wrong-path fetch fills the I-cache / ITLB too.
         if inline_i:
@@ -300,40 +214,20 @@ def speculate(core, start_pc, window):
         op, rd, rs1, rs2, imm = entry
         next_pc = (pc + INSTRUCTION_SIZE) & MASK32
 
-        # ALU ranges lead the dispatch (they dominate wrong-path
-        # mixes), with the hottest opcodes decoded inline instead
-        # of through the _alu_* helpers.
-        if _ADD <= op <= _SLTU:
+        # ALU ranges lead the dispatch (they dominate wrong-path mixes).
+        if ADD <= op <= SLTU:
             if rd != 0:
-                if op == _ADD:
-                    regs[rd] = (regs[rs1] + regs[rs2]) & MASK32
-                elif op == _SUB:
-                    regs[rd] = (regs[rs1] - regs[rs2]) & MASK32
-                elif op == _AND:
-                    regs[rd] = regs[rs1] & regs[rs2]
-                elif op == _OR:
-                    regs[rd] = regs[rs1] | regs[rs2]
-                elif op == _XOR:
-                    regs[rd] = regs[rs1] ^ regs[rs2]
-                else:
-                    regs[rd] = _alu_rrr(op, regs[rs1], regs[rs2])
-        elif _ADDI <= op <= _SLTI:
+                regs[rd] = ALU[op](regs[rs1], regs[rs2])
+        elif ADDI <= op <= SLTI:
             if rd != 0:
-                if op == _ADDI:
-                    regs[rd] = (regs[rs1] + imm) & MASK32
-                elif op == _SHLI:
-                    regs[rd] = (regs[rs1] << (imm & 31)) & MASK32
-                elif op == _SHRI:
-                    regs[rd] = regs[rs1] >> (imm & 31)
-                else:
-                    regs[rd] = _alu_rri(op, regs[rs1], imm)
-        elif op == _LI:
+                regs[rd] = ALU[op](regs[rs1], imm)
+        elif op == LI:
             if rd != 0:
                 regs[rd] = imm & MASK32
-        elif op == _MOV:
+        elif op == MOV:
             if rd != 0:
                 regs[rd] = regs[rs1]
-        elif op == _LW or op == _LB:
+        elif op == LW or op == LB:
             address = (regs[rs1] + imm) & MASK32
             n_loads += 1
             if invisible:
@@ -360,12 +254,12 @@ def speculate(core, start_pc, window):
                         hit = True
                 if not hit and data_fast(address, False)[1] == 3:
                     n_fills += 1
-            key = (address, 4 if op == _LW else 1)
+            key = (address, 4 if op == LW else 1)
             if key in store_buffer:
                 value = store_buffer[key]
             else:
                 try:
-                    if op == _LW:
+                    if op == LW:
                         value = memory.load_word(address)
                     else:
                         value = memory.load_byte(address)
@@ -376,9 +270,9 @@ def speculate(core, start_pc, window):
                     break
             if rd != 0:
                 regs[rd] = value & MASK32
-        elif op == _SW or op == _SB:
+        elif op == SW or op == SB:
             address = (regs[rs1] + imm) & MASK32
-            size = 4 if op == _SW else 1
+            size = 4 if op == SW else 1
             store_buffer[(address, size)] = regs[rs2] & (
                 MASK32 if size == 4 else 0xFF
             )
@@ -402,24 +296,24 @@ def speculate(core, start_pc, window):
                     hit = True
             if not hit:
                 data_fast(address, True)
-        elif _BEQ <= op <= _BGEU:
+        elif BEQ <= op <= BGEU:
             # Nested branches resolve immediately on the wrong path.
-            if _branch_taken(op, regs[rs1], regs[rs2]):
+            if TAKEN[op](regs[rs1], regs[rs2]):
                 next_pc = (pc + imm) & MASK32
-        elif op == _JMP:
+        elif op == JMP:
             next_pc = (pc + imm) & MASK32
-        elif op == _JMPR:
+        elif op == JMPR:
             next_pc = (regs[rs1] + imm) & MASK32
-        elif op == _CALL or op == _CALLR:
+        elif op == CALL or op == CALLR:
             return_address = next_pc
             sp = (regs[13] - 4) & MASK32
             regs[13] = sp
             store_buffer[(sp, 4)] = return_address
-            if op == _CALL:
+            if op == CALL:
                 next_pc = (pc + imm) & MASK32
             else:
                 next_pc = (regs[rs1] + imm) & MASK32
-        elif op == _RET:
+        elif op == RET:
             sp = regs[13]
             key = (sp, 4)
             if key in store_buffer:
@@ -431,7 +325,7 @@ def speculate(core, start_pc, window):
                     break
             regs[13] = (sp + 4) & MASK32
             next_pc = target & MASK32
-        elif op == _PUSH:
+        elif op == PUSH:
             sp = (regs[13] - 4) & MASK32
             regs[13] = sp
             store_buffer[(sp, 4)] = regs[rs1]
@@ -449,7 +343,7 @@ def speculate(core, start_pc, window):
                     hit = True
             if not hit:
                 data_fast(sp, True)
-        elif op == _POP:
+        elif op == POP:
             sp = regs[13]
             key = (sp, 4)
             if key in store_buffer:
@@ -475,13 +369,13 @@ def speculate(core, start_pc, window):
             regs[13] = (sp + 4) & MASK32
             if rd != 0:
                 regs[rd] = value
-        elif op == _RDCYCLE:
+        elif op == RDCYCLE:
             if rd != 0:
                 regs[rd] = int(core.cycles) & MASK32
-        elif op == _RDINSTRET:
+        elif op == RDINSTRET:
             if rd != 0:
                 regs[rd] = counters["instructions"] & MASK32
-        elif op == _NOP:
+        elif op == NOP:
             pass
         else:
             # HALT, SYSCALL, MFENCE, CLFLUSH: serialising — wrong-path
@@ -640,23 +534,6 @@ class Cpu:
         if self._sb is not None:
             self._sb.flush()
 
-    def _decode_entry(self, pc):
-        """Decode the instruction at *pc* into a flat dispatch tuple.
-
-        The decode cache stores ``(op, rd, rs1, rs2, imm)`` — *op* as a
-        plain int — so the interpreter never touches the Instruction
-        dataclass or the Opcode enum on the hot path.
-        """
-        blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
-        try:
-            instruction = decode(blob)
-        except EncodingError as exc:
-            raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
-        entry = (int(instruction.opcode), instruction.rd,
-                 instruction.rs1, instruction.rs2, instruction.imm)
-        self._decode_cache[pc] = entry
-        return entry
-
     def _charge_data_access(self, address, is_write):
         self.dtlb.access(address)
         extra = (self.caches.data_access_fast(address, is_write)[0]
@@ -721,7 +598,7 @@ class Cpu:
         pc = state.pc
         entry = self._decode_cache.get(pc)
         if entry is None:
-            entry = self._decode_entry(pc)
+            entry = decode_at(self, pc)
         # Fetch: I-cache line and I-TLB page charges on crossings only.
         line = pc >> 6
         if line != self._last_iline:
@@ -741,58 +618,58 @@ class Cpu:
         self.cycles += self._base_cost
         counters["instructions"] += 1
 
-        if _ADD <= op <= _SLTU:
+        if ADD <= op <= SLTU:
             counters["alu_instructions"] += 1
-            if _MUL <= op <= _MOD:
+            if MUL <= op <= MOD:
                 counters["mul_div_instructions"] += 1
                 self.cycles += (
-                    config.div_extra if op != _MUL else config.mul_extra
+                    config.div_extra if op != MUL else config.mul_extra
                 )
-            state.write_reg(rd, _alu_rrr(op, regs[rs1], regs[rs2]))
-        elif _ADDI <= op <= _SLTI:
+            state.write_reg(rd, ALU[op](regs[rs1], regs[rs2]))
+        elif ADDI <= op <= SLTI:
             counters["alu_instructions"] += 1
-            if op == _MULI:
+            if op == MULI:
                 counters["mul_div_instructions"] += 1
                 self.cycles += config.mul_extra
-            state.write_reg(rd, _alu_rri(op, regs[rs1], imm))
-        elif op == _LI:
+            state.write_reg(rd, ALU[op](regs[rs1], imm))
+        elif op == LI:
             counters["alu_instructions"] += 1
             state.write_reg(rd, imm & MASK32)
-        elif op == _MOV:
+        elif op == MOV:
             counters["alu_instructions"] += 1
             state.write_reg(rd, regs[rs1])
-        elif op == _LW:
+        elif op == LW:
             counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_word(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
-        elif op == _LB:
+        elif op == LB:
             counters["load_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             value = self.memory.load_byte(address)
             self._charge_data_access(address, False)
             state.write_reg(rd, value)
-        elif op == _SW:
+        elif op == SW:
             counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_word(address, regs[rs2])
             self._charge_data_access(address, True)
-        elif op == _SB:
+        elif op == SB:
             counters["store_instructions"] += 1
             address = (regs[rs1] + imm) & MASK32
             self.memory.store_byte(address, regs[rs2])
             self._charge_data_access(address, True)
-        elif op == _PUSH:
+        elif op == PUSH:
             counters["stack_instructions"] += 1
             self._push_word(regs[rs1])
-        elif op == _POP:
+        elif op == POP:
             counters["stack_instructions"] += 1
             state.write_reg(rd, self._pop_word())
-        elif _BEQ <= op <= _BGEU:
+        elif BEQ <= op <= BGEU:
             counters["branch_instructions"] += 1
             counters["cond_branch_instructions"] += 1
-            taken = _branch_taken(op, regs[rs1], regs[rs2])
+            taken = TAKEN[op](regs[rs1], regs[rs2])
             predicted = predictor.predict_conditional(pc)
             mispredicted = predictor.resolve_conditional(pc, predicted, taken)
             if taken:
@@ -804,10 +681,10 @@ class Cpu:
                     else (pc + INSTRUCTION_SIZE) & MASK32
                 )
                 self._mispredict(wrong_path)
-        elif op == _JMP:
+        elif op == JMP:
             counters["branch_instructions"] += 1
             next_pc = (pc + imm) & MASK32
-        elif op == _JMPR:
+        elif op == JMPR:
             counters["branch_instructions"] += 1
             counters["indirect_jump_instructions"] += 1
             target = (regs[rs1] + imm) & MASK32
@@ -818,7 +695,7 @@ class Cpu:
             elif mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _CALL:
+        elif op == CALL:
             counters["branch_instructions"] += 1
             counters["call_instructions"] += 1
             return_address = next_pc
@@ -827,7 +704,7 @@ class Cpu:
             if self.shadow_stack is not None:
                 self.shadow_stack.on_call(return_address)
             next_pc = (pc + imm) & MASK32
-        elif op == _CALLR:
+        elif op == CALLR:
             counters["branch_instructions"] += 1
             counters["call_instructions"] += 1
             counters["indirect_jump_instructions"] += 1
@@ -844,7 +721,7 @@ class Cpu:
             elif mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _RET:
+        elif op == RET:
             counters["branch_instructions"] += 1
             counters["ret_instructions"] += 1
             target = self._pop_word()
@@ -861,7 +738,7 @@ class Cpu:
             if mispredicted:
                 self._mispredict(predicted)
             next_pc = target
-        elif op == _CLFLUSH:
+        elif op == CLFLUSH:
             counters["clflush_instructions"] += 1
             if self.config.clflush_privileged and not self.kernel_mode:
                 raise PrivilegeFault(
@@ -873,17 +750,17 @@ class Cpu:
             if self.memory.executable_at(address):
                 self._flush_code_line(address)
             self.cycles += config.clflush_latency
-        elif op == _MFENCE:
+        elif op == MFENCE:
             counters["mfence_instructions"] += 1
             self.cycles += config.fence_latency
             counters["fence_stall_cycles"] += int(config.fence_latency)
-        elif op == _RDCYCLE:
+        elif op == RDCYCLE:
             counters["alu_instructions"] += 1
             state.write_reg(rd, int(self.cycles) & MASK32)
-        elif op == _RDINSTRET:
+        elif op == RDINSTRET:
             counters["alu_instructions"] += 1
             state.write_reg(rd, counters["instructions"] & MASK32)
-        elif op == _SYSCALL:
+        elif op == SYSCALL:
             counters["syscall_instructions"] += 1
             self.cycles += config.syscall_latency
             if self.syscall_handler is None:
@@ -891,9 +768,9 @@ class Cpu:
             state.pc = next_pc  # handlers (execve) may overwrite this
             self.syscall_handler(self)
             return not state.halted
-        elif op == _NOP:
+        elif op == NOP:
             pass
-        elif op == _HALT:
+        elif op == HALT:
             state.halted = True
             return False
         else:  # pragma: no cover - every opcode is handled above

@@ -29,6 +29,10 @@ loop would have: identical registers, pc, ``cycles`` float, all PMU
 counters, cache/TLB contents and replacement state.  The generated
 code therefore:
 
+* computes every ALU result and branch condition by formatting the
+  expression strings of :mod:`repro.isa.semantics` (``RESULT``,
+  ``CONDITION``) into the block source — the same definitions step()
+  runs compiled as ``ALU[op]``/``TAKEN[op]``;
 * performs loads/stores through the real ``Memory`` methods and the
   D-TLB/L1D inline paths replicate ``Tlb.access``'s MRU shortcut and
   ``Cache.access``'s LRU hit path *statement for statement* (anything
@@ -75,49 +79,11 @@ segment.
 """
 
 from repro.errors import CpuFault, EncodingError, MemoryFault
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
-from repro.isa.opcodes import Opcode
-
-MASK32 = 0xFFFFFFFF
-
-_NOP = int(Opcode.NOP)
-_ADD = int(Opcode.ADD)
-_SUB = int(Opcode.SUB)
-_MUL = int(Opcode.MUL)
-_DIV = int(Opcode.DIV)
-_MOD = int(Opcode.MOD)
-_AND = int(Opcode.AND)
-_OR = int(Opcode.OR)
-_XOR = int(Opcode.XOR)
-_SHL = int(Opcode.SHL)
-_SHR = int(Opcode.SHR)
-_SRA = int(Opcode.SRA)
-_SLT = int(Opcode.SLT)
-_SLTU = int(Opcode.SLTU)
-_ADDI = int(Opcode.ADDI)
-_MULI = int(Opcode.MULI)
-_ANDI = int(Opcode.ANDI)
-_ORI = int(Opcode.ORI)
-_XORI = int(Opcode.XORI)
-_SHLI = int(Opcode.SHLI)
-_SHRI = int(Opcode.SHRI)
-_SRAI = int(Opcode.SRAI)
-_SLTI = int(Opcode.SLTI)
-_LI = int(Opcode.LI)
-_MOV = int(Opcode.MOV)
-_LW = int(Opcode.LW)
-_LB = int(Opcode.LB)
-_SW = int(Opcode.SW)
-_SB = int(Opcode.SB)
-_PUSH = int(Opcode.PUSH)
-_POP = int(Opcode.POP)
-_JMP = int(Opcode.JMP)
-_BEQ = int(Opcode.BEQ)
-_BNE = int(Opcode.BNE)
-_BLT = int(Opcode.BLT)
-_BGE = int(Opcode.BGE)
-_BLTU = int(Opcode.BLTU)
-_BGEU = int(Opcode.BGEU)
+from repro.isa.semantics import (
+    ADD, ADDI, BEQ, BGEU, CONDITION, DIV, HELPERS, INSTRUCTION_SIZE, JMP,
+    LB, LI, LW, MASK32, MOD, MOV, MUL, MULI, NOP, POP, PUSH, RESULT, SB,
+    SLTI, SLTU, SW, TWIN, decode_entry,
+)
 
 #: Source-text -> code-object translation cache, shared process-wide.
 #: A block's generated source fully determines its code object (every
@@ -153,10 +119,10 @@ def _trace_taken(imm):
 def _translatable(op):
     """Ops a block body may contain; anything else terminates it."""
     return (
-        _ADD <= op <= _SLTU
-        or _ADDI <= op <= _MOV
-        or _LW <= op <= _POP
-        or op == _NOP
+        ADD <= op <= SLTU
+        or ADDI <= op <= MOV
+        or LW <= op <= POP
+        or op == NOP
     )
 
 
@@ -164,14 +130,6 @@ def _dyadic(value):
     """Exactly representable on the 2^-20 grid (so float + is exact)."""
     scaled = value * 1048576.0
     return scaled == int(scaled) and abs(value) < 1e6
-
-
-def _signed_lines(dst, src, indent):
-    """Statements computing ``dst`` = *src* reinterpreted as signed."""
-    return [
-        f"{indent}{dst} = {src} - 4294967296 "
-        f"if {src} > 2147483647 else {src}"
-    ]
 
 
 def _flush_exit(counters, regs, exits, j, it, cycles, last_iline,
@@ -286,13 +244,15 @@ class _Codegen:
         #: set when a conditional branch was internalised (binds the
         #: predictor methods and the mispredict hand-off cell).
         self.has_branch = False
+        #: set by a DIV/MOD, whose results call the semantics helpers.
+        self.has_divmod = False
         #: fetch-locality state known at compile time: after the entry
         #: instruction's runtime check, ``last_iline``/``last_ipage``
         #: equal the entry's line/page as compile-time constants.
         self.cur_line = None
         self.cur_page = None
         self.has_mem = any(
-            _LW <= entry[0] <= _POP for _, entry in entries
+            LW <= entry[0] <= POP for _, entry in entries
         )
 
     # -- small emission helpers --------------------------------------
@@ -559,22 +519,7 @@ class _Codegen:
         self.counts[6] += 1
         self.counts[7] += 1
         self.has_branch = True
-        a = self.reg(rs1)
-        b = self.reg(rs2)
-        if op == _BEQ:
-            cond = f"{a} == {b}"
-        elif op == _BNE:
-            cond = f"{a} != {b}"
-        elif op == _BLTU:
-            cond = f"{a} < {b}"
-        elif op == _BGEU:
-            cond = f"{a} >= {b}"
-        else:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, ""):
-                self.emit(line)
-            cond = "_sa < _sb" if op == _BLT else "_sa >= _sb"
+        cond = CONDITION[op].format(a=self.reg(rs1), b=self.reg(rs2))
         taken_pc = (pc + imm) & MASK32
         fall_pc = (pc + INSTRUCTION_SIZE) & MASK32
         k = index + 1
@@ -611,112 +556,37 @@ class _Codegen:
     # -- per-opcode bodies -------------------------------------------
     def _emit_alu(self, op, rd, rs1, rs2, imm):
         self.counts[1] += 1
-        if op == _MUL or op == _MULI:
+        if op == MUL or op == MULI:
             self.counts[2] += 1
             self.add_cycles(self.mul_extra)
-        elif op == _DIV or op == _MOD:
+        elif op == DIV or op == MOD:
             self.counts[2] += 1
             self.add_cycles(self.div_extra)
+            self.has_divmod = True
         if rd == 0:
             return  # r0 ignores writes, so skip the computation
-        if op == _LI:
-            self.emit(f"{self.wreg(rd)} = {imm & MASK32}")
-            return
         # Sources are recorded (``reg``) before the destination
         # (``wreg``) so the read-before-write analysis sees an
         # instruction like ``add r4, r4, r5`` as needing r4 loaded.
-        a = self.reg(rs1)
-        if op == _MOV:
-            self.emit(f"{self.wreg(rd)} = {a}")
-            return
-        if _ADDI <= op <= _SLTI:
-            dst = self.wreg(rd)
-            if op == _ADDI:
-                self.emit(f"{dst} = ({a} + {imm}) & 4294967295")
-            elif op == _MULI:
-                self.emit(f"{dst} = ({a} * {imm}) & 4294967295")
-            elif op == _ANDI:
-                self.emit(f"{dst} = {a} & {imm & MASK32}")
-            elif op == _ORI:
-                self.emit(f"{dst} = {a} | {imm & MASK32}")
-            elif op == _XORI:
-                self.emit(f"{dst} = {a} ^ {imm & MASK32}")
-            elif op == _SHLI:
-                self.emit(f"{dst} = ({a} << {imm & 31}) & 4294967295")
-            elif op == _SHRI:
-                self.emit(f"{dst} = {a} >> {imm & 31}")
-            elif op == _SRAI:
-                for line in _signed_lines("_sa", a, ""):
-                    self.emit(line)
-                self.emit(f"{dst} = (_sa >> {imm & 31}) & 4294967295")
-            else:  # SLTI compares against the raw (signed) immediate
-                for line in _signed_lines("_sa", a, ""):
-                    self.emit(line)
-                self.emit(f"{dst} = 1 if _sa < {imm} else 0")
-            return
-        b = self.reg(rs2)
-        dst = self.wreg(rd)
-        if op == _ADD:
-            self.emit(f"{dst} = ({a} + {b}) & 4294967295")
-        elif op == _SUB:
-            self.emit(f"{dst} = ({a} - {b}) & 4294967295")
-        elif op == _MUL:
-            self.emit(f"{dst} = ({a} * {b}) & 4294967295")
-        elif op == _AND:
-            self.emit(f"{dst} = {a} & {b}")
-        elif op == _OR:
-            self.emit(f"{dst} = {a} | {b}")
-        elif op == _XOR:
-            self.emit(f"{dst} = {a} ^ {b}")
-        elif op == _SHL:
-            self.emit(f"{dst} = ({a} << ({b} & 31)) & 4294967295")
-        elif op == _SHR:
-            self.emit(f"{dst} = {a} >> ({b} & 31)")
-        elif op == _SRA:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            self.emit(f"{dst} = (_sa >> ({b} & 31)) & 4294967295")
-        elif op == _SLT:
-            for line in _signed_lines("_sa", a, ""):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, ""):
-                self.emit(line)
-            self.emit(f"{dst} = 1 if _sa < _sb else 0")
-        elif op == _SLTU:
-            self.emit(f"{dst} = 1 if {a} < {b} else 0")
-        elif op == _DIV:
-            self.emit(f"if {b} == 0:")
-            self.emit(f"    {dst} = 4294967295")
-            self.emit("else:")
-            for line in _signed_lines("_sa", a, "    "):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, "    "):
-                self.emit(line)
-            self.emit("    _q = abs(_sa) // abs(_sb)")
-            self.emit("    if (_sa < 0) != (_sb < 0):")
-            self.emit("        _q = -_q")
-            self.emit(f"    {dst} = _q & 4294967295")
-        elif op == _MOD:
-            self.emit(f"if {b} == 0:")
-            self.emit(f"    {dst} = {a}")
-            self.emit("else:")
-            for line in _signed_lines("_sa", a, "    "):
-                self.emit(line)
-            for line in _signed_lines("_sb", b, "    "):
-                self.emit(line)
-            self.emit("    _q = abs(_sa) // abs(_sb)")
-            self.emit("    if (_sa < 0) != (_sb < 0):")
-            self.emit("        _q = -_q")
-            self.emit(f"    {dst} = (_sa - _sb * _q) & 4294967295")
-        else:  # pragma: no cover - every RRR opcode is handled above
-            raise AssertionError(f"unhandled ALU opcode {op:#04x}")
+        if op == LI:
+            value = imm & MASK32
+        elif op == MOV:
+            value = self.reg(rs1)
+        elif ADDI <= op <= SLTI:
+            # An immediate opcode is its register twin on the masked
+            # immediate, which the compiler folds into a constant.
+            value = RESULT[TWIN[op]].format(a=self.reg(rs1),
+                                            b=imm & MASK32)
+        else:
+            value = RESULT[op].format(a=self.reg(rs1), b=self.reg(rs2))
+        self.emit(f"{self.wreg(rd)} = {value}")
 
     def _emit_load(self, op, rd, rs1, imm, pc):
         self.counts[3] += 1
         self._emit_mem_sync(pc)
         a = self.reg(rs1)
         self.emit(f"_a = ({a} + {imm}) & 4294967295")
-        self.emit("_v = _lw(_a)" if op == _LW else "_v = _lb(_a)")
+        self.emit("_v = _lw(_a)" if op == LW else "_v = _lb(_a)")
         self._emit_dtlb("_a")
         self._emit_l1d("_a", False)
         if rd:
@@ -728,7 +598,7 @@ class _Codegen:
         a = self.reg(rs1)
         value = self.reg(rs2)
         self.emit(f"_a = ({a} + {imm}) & 4294967295")
-        self.emit(f"_sw(_a, {value})" if op == _SW
+        self.emit(f"_sw(_a, {value})" if op == SW
                   else f"_sbyte(_a, {value})")
         self._emit_dtlb("_a")
         self._emit_l1d("_a", True)
@@ -768,22 +638,22 @@ class _Codegen:
             self._emit_fetch(index, pc)
             self.counts[0] += 1
             self.add_cycles(self.base_cost)
-            if op == _NOP:
+            if op == NOP:
                 continue
-            if op == _JMP:
+            if op == JMP:
                 # Followed at translation time; the runtime cost is the
                 # counter bump (the next instruction's fetch emission
                 # handles the target's line/page locality).
                 self.counts[6] += 1
-            elif _BEQ <= op <= _BGEU:
+            elif BEQ <= op <= BGEU:
                 self._emit_branch(op, rs1, rs2, imm, index, pc)
-            elif op == _LW or op == _LB:
+            elif op == LW or op == LB:
                 self._emit_load(op, rd, rs1, imm, pc)
-            elif op == _SW or op == _SB:
+            elif op == SW or op == SB:
                 self._emit_store(op, rs1, rs2, imm, index, pc)
-            elif op == _PUSH:
+            elif op == PUSH:
                 self._emit_push(rs1, index, pc)
-            elif op == _POP:
+            elif op == POP:
                 self._emit_pop(rd, index, pc)
             else:
                 self._emit_alu(op, rd, rs1, rs2, imm)
@@ -856,6 +726,8 @@ class _Codegen:
                 "_i1stamps": i_state["stamps"],
                 "_i1stats": i_state["stats"],
             })
+        if self.has_divmod:
+            bound.update(HELPERS)
         if self.has_branch:
             predictor = cpu.predictor
             bound.update({
@@ -1017,18 +889,15 @@ class SuperblockEngine:
             entry = dcache.get(p)
             if entry is None:
                 try:
-                    instruction = decode(memory.fetch(p, INSTRUCTION_SIZE))
+                    entry = decode_entry(memory.fetch(p, INSTRUCTION_SIZE))
                 except (MemoryFault, CpuFault, EncodingError):
                     break
-                entry = (int(instruction.opcode), instruction.rd,
-                         instruction.rs1, instruction.rs2,
-                         instruction.imm)
             op = entry[0]
-            if op == _JMP:
+            if op == JMP:
                 entries.append((p, entry))
                 p = (p + entry[4]) & MASK32
                 continue
-            if _BEQ <= op <= _BGEU:
+            if BEQ <= op <= BGEU:
                 entries.append((p, entry))
                 if _trace_taken(entry[4]):
                     p = (p + entry[4]) & MASK32

@@ -13,20 +13,15 @@ instruction-slot-aligned address inside an executable segment, and the
 scanner decodes forward from it exactly like the CPU's fetch unit would.
 """
 
-import struct
-
 from repro.errors import EncodingError
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode, is_valid_opcode
-
-INSTRUCTION_SIZE = 8
-
-_STRUCT = struct.Struct("<BBBBi")
+from repro.isa.opcodes import Opcode
+from repro.isa.semantics import INSTRUCTION_SIZE, WORD, decode_entry
 
 
 def encode(instruction):
     """Encode an :class:`Instruction` into 8 bytes."""
-    return _STRUCT.pack(
+    return WORD.pack(
         int(instruction.opcode),
         instruction.rd,
         instruction.rs1,
@@ -42,19 +37,7 @@ def decode(blob, offset=0):
     byte or out-of-range register fields — the CPU turns that into an
     illegal-instruction fault.
     """
-    if len(blob) - offset < INSTRUCTION_SIZE:
-        raise EncodingError(
-            f"truncated instruction: need {INSTRUCTION_SIZE} bytes, "
-            f"have {len(blob) - offset}"
-        )
-    opcode, rd, rs1, rs2, imm = _STRUCT.unpack_from(blob, offset)
-    if not is_valid_opcode(opcode):
-        raise EncodingError(f"illegal opcode byte {opcode:#04x}")
-    if rd >= 16 or rs1 >= 16 or rs2 >= 16:
-        raise EncodingError(
-            f"register field out of range in encoded instruction "
-            f"(rd={rd}, rs1={rs1}, rs2={rs2})"
-        )
+    opcode, rd, rs1, rs2, imm = decode_entry(blob, offset)
     return Instruction(Opcode(opcode), rd=rd, rs1=rs1, rs2=rs2, imm=imm)
 
 

@@ -7,9 +7,10 @@ reservation stations, execute as their operands become ready, and
 commit strictly in order at ``commit_width`` per cycle.  The functional
 (rename-file) state executes eagerly at dispatch — the register file
 ``state.regs`` always holds the newest speculative values, while
-``arch_regs`` tracks the committed view the ROB writes back to — so the
-architectural results are instruction-for-instruction identical to the
-in-order core.  What differs is *time*: per-register ready times, ROB /
+``arch_regs`` tracks the committed view the ROB writes back to — and
+takes its decoding and ALU/branch values from :mod:`repro.isa.semantics`
+like the in-order core, so the architectural results are
+instruction-for-instruction identical to it.  What differs is *time*: per-register ready times, ROB /
 reservation-station / LSQ occupancy and the commit stream produce the
 cycle counter, so load misses overlap with independent work, long
 dividers hide behind ALU chains, and ``rdcycle`` (a serialising read,
@@ -41,53 +42,20 @@ import dataclasses
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cpu.cpu import (
-    MASK32,
-    CpuConfig,
-    speculate,
-    _alu_rri,
-    _alu_rrr,
-    _branch_taken,
-    _ADD,
-    _ADDI,
-    _BEQ,
-    _BGEU,
-    _CALL,
-    _CALLR,
-    _CLFLUSH,
-    _HALT,
-    _JMP,
-    _JMPR,
-    _LB,
-    _LI,
-    _LW,
-    _MFENCE,
-    _MOD,
-    _MOV,
-    _MUL,
-    _MULI,
-    _NOP,
-    _POP,
-    _PUSH,
-    _RDCYCLE,
-    _RDINSTRET,
-    _RET,
-    _SB,
-    _SLTI,
-    _SLTU,
-    _SW,
-    _SYSCALL,
-)
+from repro.cpu.cpu import CpuConfig, decode_at, speculate
 from repro.cpu.pmu import Pmu
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
 from repro.errors import (
     CpuFault,
-    EncodingError,
     PrivilegeFault,
     ShadowStackViolation,
 )
-from repro.isa.encoding import INSTRUCTION_SIZE, decode
+from repro.isa.semantics import (
+    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, INSTRUCTION_SIZE,
+    JMP, JMPR, LB, LI, LW, MASK32, MFENCE, MOD, MOV, MUL, MULI, NOP, POP,
+    PUSH, RDCYCLE, RDINSTRET, RET, SB, SLTI, SLTU, SW, SYSCALL, TAKEN,
+)
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
 from repro.obs.tracer import current_tracer
@@ -234,17 +202,6 @@ class OooCore:
     def _on_code_write(self, address, size):
         """A store reached an executable segment: decode cache is stale."""
         self._decode_cache.clear()
-
-    def _decode_entry(self, pc):
-        blob = self.memory.fetch(pc, INSTRUCTION_SIZE)
-        try:
-            instruction = decode(blob)
-        except EncodingError as exc:
-            raise CpuFault(f"illegal instruction at {pc:#010x}: {exc}")
-        entry = (int(instruction.opcode), instruction.rd,
-                 instruction.rs1, instruction.rs2, instruction.imm)
-        self._decode_cache[pc] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # commit port
@@ -458,7 +415,7 @@ class OooCore:
 
                 entry = dcache_get(pc)
                 if entry is None:
-                    entry = self._decode_entry(pc)
+                    entry = decode_at(self, pc)
                     if cursor is not None:
                         cursor.decode_miss()
                 line = pc >> 6
@@ -502,14 +459,14 @@ class OooCore:
                         tr_dispatch.complete("ooo.dispatch.stall",
                                              stall_ts, pc=pc,
                                              rob=stall_occ)
-                if op >= _ADD:
-                    if op < _LW:
+                if op >= ADD:
+                    if op < LW:
                         kind = "alu"
-                    elif op < _BEQ:
+                    elif op < BEQ:
                         kind = "mem"
-                    elif op < _SYSCALL:
+                    elif op < SYSCALL:
                         kind = "br"
-                    elif op == _RDINSTRET:
+                    elif op == RDINSTRET:
                         kind = "alu"
                     else:
                         kind = None     # serialising
@@ -533,10 +490,10 @@ class OooCore:
                                                 stall_ts, pc=pc)
                 fclock = dispatch + base_cost
 
-                if _ADDI <= op <= _SLTI:
+                if ADDI <= op <= SLTI:
                     counters["alu_instructions"] += 1
                     latency = 1.0
-                    if op == _MULI:
+                    if op == MULI:
                         counters["mul_div_instructions"] += 1
                         latency += mul_extra
                     start = dispatch
@@ -547,19 +504,19 @@ class OooCore:
                     rs_issue("alu", done)
                     writes = ()
                     if rd:
-                        value = _alu_rri(op, regs[rs1], imm)
+                        value = ALU[op](regs[rs1], imm)
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
                     rob_entries.append(
                         RobEntry(seq, pc, op, "alu", done, writes)
                     )
-                elif _ADD <= op <= _SLTU:
+                elif ADD <= op <= SLTU:
                     counters["alu_instructions"] += 1
                     latency = 1.0
-                    if _MUL <= op <= _MOD:
+                    if MUL <= op <= MOD:
                         counters["mul_div_instructions"] += 1
-                        latency += (div_extra if op != _MUL
+                        latency += (div_extra if op != MUL
                                     else mul_extra)
                     start = dispatch
                     t = ready[rs1]
@@ -572,14 +529,14 @@ class OooCore:
                     rs_issue("alu", done)
                     writes = ()
                     if rd:
-                        value = _alu_rrr(op, regs[rs1], regs[rs2])
+                        value = ALU[op](regs[rs1], regs[rs2])
                         regs[rd] = value
                         ready[rd] = done
                         writes = ((rd, value),)
                     rob_entries.append(
                         RobEntry(seq, pc, op, "alu", done, writes)
                     )
-                elif op == _LI:
+                elif op == LI:
                     counters["alu_instructions"] += 1
                     done = dispatch + 1.0
                     rs_issue("alu", done)
@@ -592,7 +549,7 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "alu", done, writes)
                     )
-                elif op == _MOV:
+                elif op == MOV:
                     counters["alu_instructions"] += 1
                     start = dispatch
                     t = ready[rs1]
@@ -609,10 +566,10 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "alu", done, writes)
                     )
-                elif op == _LW or op == _LB:
+                elif op == LW or op == LB:
                     counters["load_instructions"] += 1
                     address = (regs[rs1] + imm) & MASK32
-                    value = (load_word(address) if op == _LW
+                    value = (load_word(address) if op == LW
                              else load_byte(address))
                     dtlb_access(address)
                     latency = data_fast(address, False)[0]
@@ -635,10 +592,10 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "mem", done, writes)
                     )
-                elif op == _SW or op == _SB:
+                elif op == SW or op == SB:
                     counters["store_instructions"] += 1
                     address = (regs[rs1] + imm) & MASK32
-                    if op == _SW:
+                    if op == SW:
                         store_word(address, regs[rs2])
                     else:
                         store_byte(address, regs[rs2])
@@ -662,7 +619,7 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "mem", done)
                     )
-                elif op == _PUSH:
+                elif op == PUSH:
                     counters["stack_instructions"] += 1
                     sp = (regs[13] - 4) & MASK32
                     regs[13] = sp
@@ -685,7 +642,7 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "mem", done, ((13, sp),))
                     )
-                elif op == _POP:
+                elif op == POP:
                     counters["stack_instructions"] += 1
                     sp = regs[13]
                     value = load_word(sp)
@@ -713,10 +670,10 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "mem", done, writes)
                     )
-                elif _BEQ <= op <= _BGEU:
+                elif BEQ <= op <= BGEU:
                     counters["branch_instructions"] += 1
                     counters["cond_branch_instructions"] += 1
-                    taken = _branch_taken(op, regs[rs1], regs[rs2])
+                    taken = TAKEN[op](regs[rs1], regs[rs2])
                     predicted = predict_conditional(pc)
                     mispredicted = resolve_conditional(pc, predicted,
                                                        taken)
@@ -742,14 +699,14 @@ class OooCore:
                         )
                         fclock = self._recover(pc, wrong_path, done,
                                                fclock)
-                elif op == _JMP:
+                elif op == JMP:
                     counters["branch_instructions"] += 1
                     rs_issue("br", dispatch)
                     rob_entries.append(
                         RobEntry(seq, pc, op, "br", dispatch)
                     )
                     next_pc = (pc + imm) & MASK32
-                elif op == _JMPR:
+                elif op == JMPR:
                     counters["branch_instructions"] += 1
                     counters["indirect_jump_instructions"] += 1
                     target = (regs[rs1] + imm) & MASK32
@@ -773,7 +730,7 @@ class OooCore:
                         fclock = self._recover(pc, predicted, done,
                                                fclock)
                     next_pc = target
-                elif op == _CALL:
+                elif op == CALL:
                     counters["branch_instructions"] += 1
                     counters["call_instructions"] += 1
                     return_address = next_pc
@@ -798,7 +755,7 @@ class OooCore:
                         RobEntry(seq, pc, op, "br", done, ((13, sp),))
                     )
                     next_pc = (pc + imm) & MASK32
-                elif op == _CALLR:
+                elif op == CALLR:
                     counters["branch_instructions"] += 1
                     counters["call_instructions"] += 1
                     counters["indirect_jump_instructions"] += 1
@@ -838,7 +795,7 @@ class OooCore:
                         fclock = self._recover(pc, predicted, done,
                                                fclock)
                     next_pc = target
-                elif op == _RET:
+                elif op == RET:
                     counters["branch_instructions"] += 1
                     counters["ret_instructions"] += 1
                     sp = regs[13]
@@ -877,7 +834,7 @@ class OooCore:
                         fclock = self._recover(pc, predicted, done,
                                                fclock)
                     next_pc = target
-                elif op == _CLFLUSH:
+                elif op == CLFLUSH:
                     counters["clflush_instructions"] += 1
                     if clflush_privileged and not self.kernel_mode:
                         raise PrivilegeFault(
@@ -887,11 +844,11 @@ class OooCore:
                     address = (regs[rs1] + imm) & MASK32
                     caches.flush_line(address)
                     fclock = self._serialize(fclock, clflush_latency)
-                elif op == _MFENCE:
+                elif op == MFENCE:
                     counters["mfence_instructions"] += 1
                     fclock = self._serialize(fclock, fence_latency)
                     counters["fence_stall_cycles"] += fence_stall
-                elif op == _RDCYCLE:
+                elif op == RDCYCLE:
                     counters["alu_instructions"] += 1
                     fclock = self._serialize(fclock)
                     if rd:
@@ -899,7 +856,7 @@ class OooCore:
                         regs[rd] = value
                         self.arch_regs[rd] = value
                         ready[rd] = fclock
-                elif op == _RDINSTRET:
+                elif op == RDINSTRET:
                     counters["alu_instructions"] += 1
                     done = dispatch + 1.0
                     rs_issue("alu", done)
@@ -912,7 +869,7 @@ class OooCore:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "alu", done, writes)
                     )
-                elif op == _SYSCALL:
+                elif op == SYSCALL:
                     counters["syscall_instructions"] += 1
                     fclock = self._serialize(fclock, syscall_latency)
                     handler = self.syscall_handler
@@ -943,11 +900,11 @@ class OooCore:
                     if watchdog is not None and executed % stride == 0:
                         watchdog.charge(stride)
                     continue
-                elif op == _NOP:
+                elif op == NOP:
                     rob_entries.append(
                         RobEntry(seq, pc, op, "nop", dispatch)
                     )
-                elif op == _HALT:
+                elif op == HALT:
                     state.halted = True
                     next_pc = pc
                 else:  # pragma: no cover - every opcode handled above

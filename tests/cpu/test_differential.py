@@ -1,9 +1,14 @@
 """Differential testing: the CPU vs independent references.
 
 Random straight-line ALU programs run on both the full speculative CPU
-and a minimal Python evaluator of the ISA semantics; the architectural
-register file must match exactly.  Catches dispatch mix-ups, masking
-bugs and zero-register violations that unit tests might miss.
+and a minimal Python evaluator of the ISA semantics, written here from
+the ISA's definition and sharing no code with the engines; the
+architectural register file must match exactly.  Every ALU opcode
+also runs on every pair of 32-bit edge operands (INT_MIN / -1, shifts
+of 32 and more, compares across the sign bit) as explicit examples,
+and drawn operands lean on the same edges.  Catches semantic slips,
+dispatch mix-ups, masking bugs and zero-register violations that unit
+tests might miss.
 
 Generated counted loops — ALU ops, loads and stores, block-ending
 timing reads, fences and data ``clflush``, a data-dependent forward
@@ -17,11 +22,12 @@ core, whose architectural state must agree at every pause.
 
 import dataclasses
 import hashlib
+import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cpu import engine_override
-from repro.cpu.cpu import Cpu, _alu_rri, _alu_rrr
+from repro.cpu.cpu import Cpu
 from repro.cpu.superblock import SuperblockEngine
 from repro.isa.encoding import INSTRUCTION_SIZE, encode_program
 from repro.isa.instruction import Instruction
@@ -39,8 +45,19 @@ _RRI_OPS = [
     Opcode.SHLI, Opcode.SHRI, Opcode.SRAI, Opcode.SLTI,
 ]
 
+#: INT_MIN / -1, shifts of 32 and more, compares across the sign bit
+_EDGES = (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+_IMM_EDGES = (0, 1, -1, 31, 32, -(2**31), 2**31 - 1)
+
 _REGS = st.integers(min_value=0, max_value=15)
-_IMM = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+_IMM = st.one_of(
+    st.sampled_from(_IMM_EDGES),
+    st.integers(min_value=-(2**31), max_value=2**31 - 1),
+)
+_WORD = st.one_of(
+    st.sampled_from(_EDGES),
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+)
 
 
 def _alu_instruction():
@@ -63,6 +80,48 @@ def _alu_instruction():
     return st.one_of(rrr, rri, li, mov)
 
 
+def _signed(value):
+    return value - (1 << 32) if value & 0x80000000 else value
+
+
+def _quotient(a, b):
+    # exact for 32-bit operands: the float quotient is off by far less
+    # than the distance to the next integer
+    return int(_signed(a) / _signed(b)) if b else -1
+
+
+def _remainder(a, b):
+    return int(math.fmod(_signed(a), _signed(b))) if b else a
+
+
+#: opcode -> (a, b) -> result before the 32-bit wrap; *b* is the second
+#: register's value, or the sign-extended immediate for RRI opcodes
+_REFERENCE = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.MUL: lambda a, b: a * b,
+    Opcode.DIV: _quotient,
+    Opcode.MOD: _remainder,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.SHL: lambda a, b: a << (b % 32),
+    Opcode.SHR: lambda a, b: a >> (b % 32),
+    Opcode.SRA: lambda a, b: _signed(a) >> (b % 32),
+    Opcode.SLT: lambda a, b: int(_signed(a) < _signed(b)),
+    Opcode.SLTU: lambda a, b: int(a < b),
+    Opcode.ADDI: lambda a, imm: a + imm,
+    Opcode.MULI: lambda a, imm: a * imm,
+    Opcode.ANDI: lambda a, imm: a & imm,
+    Opcode.ORI: lambda a, imm: a | imm,
+    Opcode.XORI: lambda a, imm: a ^ imm,
+    Opcode.SHLI: lambda a, imm: a << (imm % 32),
+    Opcode.SHRI: lambda a, imm: a >> (imm % 32),
+    Opcode.SRAI: lambda a, imm: _signed(a) >> (imm % 32),
+    Opcode.SLTI: lambda a, imm: int(_signed(a) < imm),
+}
+
+
 def _reference_run(instructions, initial_regs):
     """Minimal independent evaluator of the ALU subset."""
     regs = list(initial_regs)
@@ -73,12 +132,30 @@ def _reference_run(instructions, initial_regs):
         elif op == Opcode.MOV:
             value = regs[insn.rs1]
         elif op in _RRR_OPS:
-            value = _alu_rrr(op, regs[insn.rs1], regs[insn.rs2])
+            value = _REFERENCE[op](regs[insn.rs1], regs[insn.rs2])
         else:
-            value = _alu_rri(op, regs[insn.rs1], insn.imm)
+            value = _REFERENCE[op](regs[insn.rs1], insn.imm)
         if insn.rd != 0:
             regs[insn.rd] = value & 0xFFFFFFFF
     return regs
+
+
+def _edge_examples(test):
+    """Every ALU opcode on every pair of edge operands, as explicit
+    examples: r1-r7 hold the edges, and each program applies one opcode
+    with one edge as the first operand against all seven second
+    operands (register edges, or immediate edges), into r8-r14."""
+    initial = [0, *_EDGES] + [0] * 8
+    for op in _RRR_OPS + _RRI_OPS:
+        for a in range(1, 8):
+            if op in _RRR_OPS:
+                program = [Instruction(op, rd=8 + j, rs1=a, rs2=1 + j)
+                           for j in range(7)]
+            else:
+                program = [Instruction(op, rd=8 + j, rs1=a, imm=imm)
+                           for j, imm in enumerate(_IMM_EDGES)]
+            test = example(program, list(initial))(test)
+    return test
 
 
 def _cpu_run(instructions, initial_regs):
@@ -99,9 +176,9 @@ class TestDifferential:
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(_alu_instruction(), min_size=1, max_size=40),
-        st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
-                 min_size=16, max_size=16),
+        st.lists(_WORD, min_size=16, max_size=16),
     )
+    @_edge_examples
     def test_cpu_matches_reference(self, instructions, initial):
         initial[0] = 0  # r0 is architectural zero
         expected = _reference_run(instructions, initial)
@@ -255,8 +332,7 @@ def _loop_program(draw, rdcycle=True):
         Opcode.CALL, imm=(len(body) - call_index) * INSTRUCTION_SIZE)
     program = body + leaf + [Instruction(Opcode.RET)]
 
-    regs = draw(st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF),
-                         min_size=16, max_size=16))
+    regs = draw(st.lists(_WORD, min_size=16, max_size=16))
     regs[0] = 0
     regs[_COUNTER] = draw(st.integers(min_value=_MIN_ITERATIONS,
                                       max_value=48))
@@ -283,13 +359,23 @@ def _loop_cpu(program, regs, mode, core=Cpu):
     return cpu
 
 
+def _memory_digest(cpu):
+    """sha256 of the data and stack segments."""
+    memory = cpu.memory
+    image = (memory.read_bytes(_DATA, _DATA_SIZE)
+             + memory.read_bytes(_STACK_TOP - _STACK_SIZE, _STACK_SIZE))
+    return hashlib.sha256(image).hexdigest()
+
+
 def _machine(cpu):
-    """Everything observable: architectural, timing, PMU, caches, TLBs."""
+    """Everything observable: architectural, memory, timing, PMU,
+    caches, TLBs."""
     caches = cpu.caches
     return {
         "regs": list(cpu.state.regs),
         "pc": cpu.state.pc,
         "halted": cpu.state.halted,
+        "memory": _memory_digest(cpu),
         "cycles": cpu.cycles,
         "events": cpu.pmu.read(),
         "l1i": dataclasses.asdict(caches.l1i.stats),
@@ -301,15 +387,12 @@ def _machine(cpu):
 
 def _architectural(cpu):
     """The committed machine: regs, pc, retired count, data and stack."""
-    memory = cpu.memory
-    image = (memory.read_bytes(_DATA, _DATA_SIZE)
-             + memory.read_bytes(_STACK_TOP - _STACK_SIZE, _STACK_SIZE))
     return {
         "regs": list(cpu.state.regs),
         "pc": cpu.state.pc,
         "halted": cpu.state.halted,
         "instructions": cpu.pmu.read()["instructions"],
-        "memory": hashlib.sha256(image).hexdigest(),
+        "memory": _memory_digest(cpu),
     }
 
 

@@ -14,6 +14,7 @@ from repro.isa.encoding import (
 )
 from repro.isa.instruction import IMM_MAX, IMM_MIN, Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.semantics import decode_entry
 
 _OPCODES = st.sampled_from(list(Opcode))
 _REGS = st.integers(min_value=0, max_value=15)
@@ -35,27 +36,51 @@ class TestRoundTrip:
         assert len(blob) == INSTRUCTION_SIZE * len(program)
         assert decode_program(blob) == program
 
+    @given(instructions)
+    def test_decode_entry_agrees_with_decode(self, instruction):
+        blob = b"\x00" * INSTRUCTION_SIZE + encode(instruction)
+        decoded = decode(blob, INSTRUCTION_SIZE)
+        assert decode_entry(blob, INSTRUCTION_SIZE) == (
+            int(decoded.opcode), decoded.rd, decoded.rs1, decoded.rs2,
+            decoded.imm)
+
     def test_encoding_is_fixed_width(self):
         assert len(encode(Instruction(Opcode.NOP))) == INSTRUCTION_SIZE
         assert len(encode(Instruction(Opcode.LI, rd=5, imm=-1))) == \
             INSTRUCTION_SIZE
 
 
+def _same_error(blob, offset=0):
+    """decode and decode_entry reject *blob* with the same message."""
+    with pytest.raises(EncodingError) as from_decode:
+        decode(blob, offset)
+    with pytest.raises(EncodingError) as from_entry:
+        decode_entry(blob, offset)
+    assert str(from_entry.value) == str(from_decode.value)
+
+
 class TestDecodeErrors:
     def test_truncated(self):
         with pytest.raises(EncodingError):
             decode(b"\x00\x00\x00")
+        _same_error(b"\x00\x00\x00")
+        _same_error(b"\x00" * 12, offset=8)
 
     def test_illegal_opcode(self):
         blob = bytes([0xFF, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(EncodingError):
             decode(blob)
         assert try_decode(blob) is None
+        _same_error(blob)
 
     def test_register_field_out_of_range(self):
         blob = bytes([int(Opcode.ADD), 16, 0, 0, 0, 0, 0, 0])
         with pytest.raises(EncodingError):
             decode(blob)
+        for field in (1, 2, 3):
+            blob = bytearray(8)
+            blob[field] = 16
+            _same_error(bytes(blob))
 
     def test_misaligned_program_length(self):
         with pytest.raises(EncodingError):
