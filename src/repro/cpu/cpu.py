@@ -26,10 +26,15 @@ The decode cache stores the flat ``(op, rd, rs1, rs2, imm)`` tuples of
 dispatch compares ints and operand access is index-based — no dataclass
 or enum traffic per retired instruction.  Opcode constants and every
 ALU result and branch condition come from :mod:`repro.isa.semantics`
-(``ALU[op]``, ``TAKEN[op]``); this module adds the memory effects, PMU
-events and cycle costs around them.
-:meth:`Cpu.step` is the single-instruction reference and the only
-interpreter: :meth:`Cpu.run` loops over it, except that under the
+(``ALU[op]``, ``TAKEN[op]``).
+:func:`execute` is the one architectural executor: registers, memory,
+predictor, shadow stack and the instruction-mix PMU events of every
+opcode.  Both cores run it and keep only their clocks, which it reaches
+through hooks on the core (``_charge_data_access``, ``_mispredict``,
+``_btb_miss``, ``_serialize``); this core charges them straight to
+``cycles``, the out-of-order core schedules them.
+:meth:`Cpu.step` wraps it with fetch and cost accounting and is the
+only interpreter: :meth:`Cpu.run` loops over it, except that under the
 default ``sb`` engine hot code runs as compiled superblocks
 (:mod:`repro.cpu.superblock`), which deoptimise back to step().  The
 run loop is bit-exact with a bare step() loop — the differential tests
@@ -53,8 +58,9 @@ from repro.errors import (
     ShadowStackViolation,
 )
 from repro.cpu.superblock import SuperblockEngine
+from repro.isa.registers import SP
 from repro.isa.semantics import (
-    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT,
+    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, EXTRA_CYCLES, HALT,
     INSTRUCTION_SIZE, JMP, JMPR, LB, LI, LW, MASK32, MFENCE, MOD, MOV,
     MUL, MULI, NOP, POP, PUSH, RDCYCLE, RDINSTRET, RET, SB, SLTI, SLTU,
     SW, SYSCALL, TAKEN, decode_entry,
@@ -89,6 +95,15 @@ class CpuConfig:
     #: and never fill the caches, so a squash leaves no trace — the
     #: covert channel's transmit side goes dark.
     invisible_speculation: bool = False
+
+
+def extra_cycles(config):
+    """Opcode-indexed extra execution cycles of long-latency arithmetic
+    under *config* (0.0 for every other opcode)."""
+    table = [0.0] * (RDINSTRET + 1)
+    for op, knob in EXTRA_CYCLES.items():
+        table[op] = getattr(config, knob)
+    return tuple(table)
 
 
 def decode_at(core, pc):
@@ -413,6 +428,205 @@ def speculate(core, start_pc, window):
     return executed
 
 
+def execute(core, pc, entry):
+    """Retire the decoded instruction *entry* at *pc* on *core*.
+
+    The one architectural executor: register and memory effects, the
+    predictor, the shadow stack, ``clflush``, syscalls and the
+    instruction-mix PMU events of every opcode.  It leaves ``state.pc``
+    at the next instruction (a halt leaves it in place; a syscall
+    handler may overwrite it).  Time is the core's business, reached
+    through four hooks:
+
+    - ``core._charge_data_access(address, is_write)`` accounts one
+      data access and returns its latency;
+    - ``core._mispredict(wrong_path_pc)`` for a mispredicted branch
+      (the wrong path may be ``None`` when no target was predicted);
+    - ``core._btb_miss()`` for an indirect branch the BTB had no
+      target for;
+    - ``core._serialize(latency)`` for a serialising instruction,
+      before its clock read or handler call.
+
+    Returns the latency of the memory read the instruction made, or
+    ``None`` when it read no memory.
+    """
+    state = core.state
+    counters = core.pmu.counters
+    op, rd, rs1, rs2, imm = entry
+    regs = state.regs
+    next_pc = (pc + INSTRUCTION_SIZE) & MASK32
+    latency = None
+    counters["instructions"] += 1
+
+    if ADD <= op <= SLTU:
+        counters["alu_instructions"] += 1
+        if MUL <= op <= MOD:
+            counters["mul_div_instructions"] += 1
+        if rd:
+            regs[rd] = ALU[op](regs[rs1], regs[rs2])
+    elif ADDI <= op <= SLTI:
+        counters["alu_instructions"] += 1
+        if op == MULI:
+            counters["mul_div_instructions"] += 1
+        if rd:
+            regs[rd] = ALU[op](regs[rs1], imm)
+    elif op == LI:
+        counters["alu_instructions"] += 1
+        if rd:
+            regs[rd] = imm & MASK32
+    elif op == MOV:
+        counters["alu_instructions"] += 1
+        if rd:
+            regs[rd] = regs[rs1]
+    elif op == LW or op == LB:
+        counters["load_instructions"] += 1
+        address = (regs[rs1] + imm) & MASK32
+        if op == LW:
+            value = core.memory.load_word(address)
+        else:
+            value = core.memory.load_byte(address)
+        latency = core._charge_data_access(address, False)
+        if rd:
+            regs[rd] = value
+    elif op == SW or op == SB:
+        counters["store_instructions"] += 1
+        address = (regs[rs1] + imm) & MASK32
+        if op == SW:
+            core.memory.store_word(address, regs[rs2])
+        else:
+            core.memory.store_byte(address, regs[rs2])
+        core._charge_data_access(address, True)
+    elif op == PUSH:
+        counters["stack_instructions"] += 1
+        _push(core, regs, regs[rs1])
+    elif op == POP:
+        counters["stack_instructions"] += 1
+        sp = regs[SP]
+        value = core.memory.load_word(sp)
+        latency = core._charge_data_access(sp, False)
+        regs[SP] = (sp + 4) & MASK32
+        if rd:
+            regs[rd] = value
+    elif BEQ <= op <= BGEU:
+        counters["branch_instructions"] += 1
+        counters["cond_branch_instructions"] += 1
+        taken = TAKEN[op](regs[rs1], regs[rs2])
+        predictor = core.predictor
+        predicted = predictor.predict_conditional(pc)
+        mispredicted = predictor.resolve_conditional(pc, predicted, taken)
+        if taken:
+            counters["branches_taken"] += 1
+            next_pc = (pc + imm) & MASK32
+        if mispredicted:
+            core._mispredict(
+                (pc + imm) & MASK32 if predicted
+                else (pc + INSTRUCTION_SIZE) & MASK32
+            )
+    elif op == JMP:
+        counters["branch_instructions"] += 1
+        next_pc = (pc + imm) & MASK32
+    elif op == JMPR or op == CALLR:
+        counters["branch_instructions"] += 1
+        counters["indirect_jump_instructions"] += 1
+        target = (regs[rs1] + imm) & MASK32
+        predictor = core.predictor
+        predicted = predictor.predict_indirect(pc)
+        mispredicted = predictor.resolve_indirect(pc, predicted, target)
+        if op == CALLR:
+            counters["call_instructions"] += 1
+            _call(core, regs, next_pc)
+        if predicted is None:
+            core._btb_miss()
+        elif mispredicted:
+            core._mispredict(predicted)
+        next_pc = target
+    elif op == CALL:
+        counters["branch_instructions"] += 1
+        counters["call_instructions"] += 1
+        _call(core, regs, next_pc)
+        next_pc = (pc + imm) & MASK32
+    elif op == RET:
+        counters["branch_instructions"] += 1
+        counters["ret_instructions"] += 1
+        sp = regs[SP]
+        target = core.memory.load_word(sp)
+        latency = core._charge_data_access(sp, False)
+        regs[SP] = (sp + 4) & MASK32
+        if core.shadow_stack is not None:
+            try:
+                core.shadow_stack.on_return(target)
+            except ShadowStackViolation:
+                if core._tr_cpu is not None:
+                    core._tr_cpu.event("cpu.shadow_divergence",
+                                       pc=pc, target=target)
+                raise
+        predictor = core.predictor
+        predicted = predictor.predict_return()
+        if predictor.resolve_return(predicted, target):
+            core._mispredict(predicted)
+        next_pc = target
+    elif op == CLFLUSH:
+        counters["clflush_instructions"] += 1
+        if core.config.clflush_privileged and not core.kernel_mode:
+            raise PrivilegeFault(
+                "clflush is disabled for non-privileged code "
+                "(countermeasure active)"
+            )
+        address = (regs[rs1] + imm) & MASK32
+        core.caches.flush_line(address)
+        if core.memory.executable_at(address):
+            core._flush_code_line(address)
+        core._serialize(core.config.clflush_latency)
+    elif op == MFENCE:
+        counters["mfence_instructions"] += 1
+        fence_latency = core.config.fence_latency
+        core._serialize(fence_latency)
+        counters["fence_stall_cycles"] += int(fence_latency)
+    elif op == RDCYCLE:
+        counters["alu_instructions"] += 1
+        core._serialize(0.0)
+        if rd:
+            regs[rd] = int(core.cycles) & MASK32
+    elif op == RDINSTRET:
+        counters["alu_instructions"] += 1
+        if rd:
+            regs[rd] = counters["instructions"] & MASK32
+    elif op == SYSCALL:
+        counters["syscall_instructions"] += 1
+        core._serialize(core.config.syscall_latency)
+        if core.syscall_handler is None:
+            raise CpuFault(f"syscall at {pc:#010x} with no handler")
+        state.pc = next_pc  # handlers (execve) may overwrite this
+        core.syscall_handler(core)
+        return None
+    elif op == NOP:
+        pass
+    elif op == HALT:
+        state.halted = True
+        return None
+    else:  # pragma: no cover - every opcode is handled above
+        raise CpuFault(f"unhandled opcode {op:#04x} at {pc:#010x}")
+
+    state.pc = next_pc
+    return latency
+
+
+def _push(core, regs, value):
+    """Push *value* onto *core*'s stack."""
+    sp = (regs[SP] - 4) & MASK32
+    regs[SP] = sp
+    core.memory.store_word(sp, value)
+    core._charge_data_access(sp, True)
+
+
+def _call(core, regs, return_address):
+    """The stack, return-stack-buffer and shadow-stack half of a call."""
+    _push(core, regs, return_address)
+    core.predictor.on_call(return_address)
+    if core.shadow_stack is not None:
+        core.shadow_stack.on_call(return_address)
+
+
 class Cpu:
     """One simulated hardware thread."""
 
@@ -434,6 +648,7 @@ class Cpu:
         self.watchdog = None
         self._decode_cache = {}
         self._base_cost = 1.0 / self.config.issue_width
+        self._extra_cycles = extra_cycles(self.config)
         self._l1_latency = self.caches.config.l1_latency
         self._last_iline = -1
         self._last_ipage = -1
@@ -535,27 +750,22 @@ class Cpu:
             self._sb.flush()
 
     def _charge_data_access(self, address, is_write):
+        """Account one data access; its miss latency stalls the clock."""
         self.dtlb.access(address)
-        extra = (self.caches.data_access_fast(address, is_write)[0]
-                 - self._l1_latency)
+        latency = self.caches.data_access_fast(address, is_write)[0]
+        extra = latency - self._l1_latency
         if extra > 0:
             self.cycles += extra
             self.pmu.counters["memory_stall_cycles"] += extra
+        return latency
 
-    def _push_word(self, value):
-        state = self.state
-        sp = (state.sp - 4) & MASK32
-        state.sp = sp
-        self.memory.store_word(sp, value)
-        self._charge_data_access(sp, True)
+    def _btb_miss(self):
+        """No predicted target: fetch waits for the indirect branch."""
+        self.cycles += self.config.btb_miss_penalty
 
-    def _pop_word(self):
-        state = self.state
-        sp = state.sp
-        value = self.memory.load_word(sp)
-        self._charge_data_access(sp, False)
-        state.sp = (sp + 4) & MASK32
-        return value
+    def _serialize(self, latency):
+        """An in-order core is always drained: just charge *latency*."""
+        self.cycles += latency
 
     def _mispredict(self, wrong_path_pc):
         """Charge the penalty and run the wrong path speculatively."""
@@ -585,16 +795,15 @@ class Cpu:
     def step(self):
         """Execute one architectural instruction; returns False on halt.
 
-        This is the single-instruction reference implementation, the
-        cold path of :meth:`run` and the deopt target of the superblock
-        engine (differential tests: ``tests/cpu/test_run_loop.py``).
+        Fetch, the issue-width base cost, :func:`execute` and the
+        long-latency arithmetic cost: the single-instruction reference,
+        the cold path of :meth:`run` and the deopt target of the
+        superblock engine (differential tests:
+        ``tests/cpu/test_run_loop.py``).
         """
         state = self.state
         if state.halted:
             return False
-        config = self.config
-        counters = self.pmu.counters
-        predictor = self.predictor
         pc = state.pc
         entry = self._decode_cache.get(pc)
         if entry is None:
@@ -607,177 +816,17 @@ class Cpu:
                      - self._l1_latency)
             if extra > 0:
                 self.cycles += extra
-                counters["memory_stall_cycles"] += extra
+                self.pmu.counters["memory_stall_cycles"] += extra
         page = pc >> 12
         if page != self._last_ipage:
             self._last_ipage = page
             self.itlb.access(pc)
-        op, rd, rs1, rs2, imm = entry
-        regs = state.regs
-        next_pc = (pc + INSTRUCTION_SIZE) & MASK32
         self.cycles += self._base_cost
-        counters["instructions"] += 1
-
-        if ADD <= op <= SLTU:
-            counters["alu_instructions"] += 1
-            if MUL <= op <= MOD:
-                counters["mul_div_instructions"] += 1
-                self.cycles += (
-                    config.div_extra if op != MUL else config.mul_extra
-                )
-            state.write_reg(rd, ALU[op](regs[rs1], regs[rs2]))
-        elif ADDI <= op <= SLTI:
-            counters["alu_instructions"] += 1
-            if op == MULI:
-                counters["mul_div_instructions"] += 1
-                self.cycles += config.mul_extra
-            state.write_reg(rd, ALU[op](regs[rs1], imm))
-        elif op == LI:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, imm & MASK32)
-        elif op == MOV:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, regs[rs1])
-        elif op == LW:
-            counters["load_instructions"] += 1
-            address = (regs[rs1] + imm) & MASK32
-            value = self.memory.load_word(address)
-            self._charge_data_access(address, False)
-            state.write_reg(rd, value)
-        elif op == LB:
-            counters["load_instructions"] += 1
-            address = (regs[rs1] + imm) & MASK32
-            value = self.memory.load_byte(address)
-            self._charge_data_access(address, False)
-            state.write_reg(rd, value)
-        elif op == SW:
-            counters["store_instructions"] += 1
-            address = (regs[rs1] + imm) & MASK32
-            self.memory.store_word(address, regs[rs2])
-            self._charge_data_access(address, True)
-        elif op == SB:
-            counters["store_instructions"] += 1
-            address = (regs[rs1] + imm) & MASK32
-            self.memory.store_byte(address, regs[rs2])
-            self._charge_data_access(address, True)
-        elif op == PUSH:
-            counters["stack_instructions"] += 1
-            self._push_word(regs[rs1])
-        elif op == POP:
-            counters["stack_instructions"] += 1
-            state.write_reg(rd, self._pop_word())
-        elif BEQ <= op <= BGEU:
-            counters["branch_instructions"] += 1
-            counters["cond_branch_instructions"] += 1
-            taken = TAKEN[op](regs[rs1], regs[rs2])
-            predicted = predictor.predict_conditional(pc)
-            mispredicted = predictor.resolve_conditional(pc, predicted, taken)
-            if taken:
-                counters["branches_taken"] += 1
-                next_pc = (pc + imm) & MASK32
-            if mispredicted:
-                wrong_path = (
-                    (pc + imm) & MASK32 if predicted
-                    else (pc + INSTRUCTION_SIZE) & MASK32
-                )
-                self._mispredict(wrong_path)
-        elif op == JMP:
-            counters["branch_instructions"] += 1
-            next_pc = (pc + imm) & MASK32
-        elif op == JMPR:
-            counters["branch_instructions"] += 1
-            counters["indirect_jump_instructions"] += 1
-            target = (regs[rs1] + imm) & MASK32
-            predicted = predictor.predict_indirect(pc)
-            mispredicted = predictor.resolve_indirect(pc, predicted, target)
-            if predicted is None:
-                self.cycles += config.btb_miss_penalty
-            elif mispredicted:
-                self._mispredict(predicted)
-            next_pc = target
-        elif op == CALL:
-            counters["branch_instructions"] += 1
-            counters["call_instructions"] += 1
-            return_address = next_pc
-            self._push_word(return_address)
-            predictor.on_call(return_address)
-            if self.shadow_stack is not None:
-                self.shadow_stack.on_call(return_address)
-            next_pc = (pc + imm) & MASK32
-        elif op == CALLR:
-            counters["branch_instructions"] += 1
-            counters["call_instructions"] += 1
-            counters["indirect_jump_instructions"] += 1
-            target = (regs[rs1] + imm) & MASK32
-            predicted = predictor.predict_indirect(pc)
-            mispredicted = predictor.resolve_indirect(pc, predicted, target)
-            return_address = next_pc
-            self._push_word(return_address)
-            predictor.on_call(return_address)
-            if self.shadow_stack is not None:
-                self.shadow_stack.on_call(return_address)
-            if predicted is None:
-                self.cycles += config.btb_miss_penalty
-            elif mispredicted:
-                self._mispredict(predicted)
-            next_pc = target
-        elif op == RET:
-            counters["branch_instructions"] += 1
-            counters["ret_instructions"] += 1
-            target = self._pop_word()
-            if self.shadow_stack is not None:
-                try:
-                    self.shadow_stack.on_return(target)
-                except ShadowStackViolation:
-                    if self._tr_cpu is not None:
-                        self._tr_cpu.event("cpu.shadow_divergence",
-                                           pc=pc, target=target)
-                    raise
-            predicted = predictor.predict_return()
-            mispredicted = predictor.resolve_return(predicted, target)
-            if mispredicted:
-                self._mispredict(predicted)
-            next_pc = target
-        elif op == CLFLUSH:
-            counters["clflush_instructions"] += 1
-            if self.config.clflush_privileged and not self.kernel_mode:
-                raise PrivilegeFault(
-                    "clflush is disabled for non-privileged code "
-                    "(countermeasure active)"
-                )
-            address = (regs[rs1] + imm) & MASK32
-            self.caches.flush_line(address)
-            if self.memory.executable_at(address):
-                self._flush_code_line(address)
-            self.cycles += config.clflush_latency
-        elif op == MFENCE:
-            counters["mfence_instructions"] += 1
-            self.cycles += config.fence_latency
-            counters["fence_stall_cycles"] += int(config.fence_latency)
-        elif op == RDCYCLE:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, int(self.cycles) & MASK32)
-        elif op == RDINSTRET:
-            counters["alu_instructions"] += 1
-            state.write_reg(rd, counters["instructions"] & MASK32)
-        elif op == SYSCALL:
-            counters["syscall_instructions"] += 1
-            self.cycles += config.syscall_latency
-            if self.syscall_handler is None:
-                raise CpuFault(f"syscall at {pc:#010x} with no handler")
-            state.pc = next_pc  # handlers (execve) may overwrite this
-            self.syscall_handler(self)
-            return not state.halted
-        elif op == NOP:
-            pass
-        elif op == HALT:
-            state.halted = True
-            return False
-        else:  # pragma: no cover - every opcode is handled above
-            raise CpuFault(f"unhandled opcode {op:#04x} at {pc:#010x}")
-
-        state.pc = next_pc
-        return True
+        execute(self, pc, entry)
+        extra = self._extra_cycles[entry[0]]
+        if extra:
+            self.cycles += extra
+        return not state.halted
 
     #: How many instructions retire between watchdog charges; coarse
     #: enough to keep the interpreter loop hot, fine enough that a

@@ -1,10 +1,12 @@
 """The ISA's value semantics: the one definition every engine executes.
 
-Opcode constants, decoding into the flat dispatch tuple, and the value
-of every ALU result and branch condition live here and nowhere else.
-``Cpu.step``, the wrong-path walker ``speculate``, ``OooCore.run`` and
-the superblock compiler all take them from this module; memory effects,
-PMU events and cycle costs stay at each dispatch site.
+Opcode constants, decoding into the flat dispatch tuple, the value of
+every ALU result and branch condition, each opcode's register operands
+and its long-latency cost live here and nowhere else.  The three
+dispatch sites — the architectural executor
+:func:`repro.cpu.cpu.execute` (which both cores run), the wrong-path
+walker ``speculate`` and the superblock compiler — take them from this
+module and add the memory effects and PMU events around them.
 
 Registers hold unsigned 32-bit ints; the signed view of one is
 ``(x ^ 0x80000000) - 0x80000000``.  :data:`RESULT` and
@@ -156,3 +158,32 @@ TAKEN = _functions(BGEU + 1, {
     op: condition.format(a="a", b="b")
     for op, condition in CONDITION.items()
 })
+
+#: Register operands per opcode, for schedulers: flags over the
+#: dispatch tuple's register fields an opcode reads (``READS_RS1``,
+#: ``READS_RS2``) and writes (``WRITES_RD``; writes to ``r0`` are
+#: dropped), and ``USES_SP`` for the stack pointer that push, pop, call
+#: and ret both read and write.
+READS_RS1, READS_RS2, WRITES_RD, USES_SP = 1, 2, 4, 8
+
+_OPERANDS = {
+    **{op: READS_RS1 | READS_RS2 | WRITES_RD for op in RESULT},
+    **{op: READS_RS1 | WRITES_RD for op in TWIN},
+    LI: WRITES_RD, MOV: READS_RS1 | WRITES_RD,
+    LW: READS_RS1 | WRITES_RD, LB: READS_RS1 | WRITES_RD,
+    SW: READS_RS1 | READS_RS2, SB: READS_RS1 | READS_RS2,
+    PUSH: USES_SP | READS_RS1, POP: USES_SP | WRITES_RD,
+    **{op: READS_RS1 | READS_RS2 for op in CONDITION},
+    JMPR: READS_RS1, CALL: USES_SP, CALLR: USES_SP | READS_RS1,
+    RET: USES_SP, CLFLUSH: READS_RS1,
+    RDCYCLE: WRITES_RD, RDINSTRET: WRITES_RD,
+}
+#: ``OPERANDS[op]``: the operand flags of every opcode (0: none).
+OPERANDS = tuple(_OPERANDS.get(op, 0) for op in range(RDINSTRET + 1))
+
+#: Opcodes that execute for longer than one cycle -> the ``CpuConfig``
+#: knob holding their extra cycles.
+EXTRA_CYCLES = {
+    MUL: "mul_extra", MULI: "mul_extra",
+    DIV: "div_extra", MOD: "div_extra",
+}

@@ -19,7 +19,6 @@ from repro.uarch.structures import (
     LoadStoreQueue,
     ReorderBuffer,
     ReservationStations,
-    RobEntry,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "OooParams",
     "ReorderBuffer",
     "ReservationStations",
-    "RobEntry",
     "UARCHS",
     "make_core",
     "register_uarch",

@@ -28,6 +28,16 @@ Methods
     ``reset_for_exec()`` — flush decode/translation/predictor return
     state after ``execve`` remaps the address space.
 
+Architectural execution
+    Both registered cores retire instructions through one executor,
+    :func:`repro.cpu.cpu.execute`, so their architectural results are
+    the same by construction; they differ only in their clocks.  A core
+    that runs the executor provides its hooks: the timing hooks
+    ``_charge_data_access(address, is_write)`` (returns the access
+    latency), ``_mispredict(wrong_path_pc)``, ``_btb_miss()`` and
+    ``_serialize(latency)``, and ``_flush_code_line(address)`` for a
+    ``clflush`` of code.
+
 Speculation contract
     Wrong-path execution must never write architectural state (memory
     or committed registers) but must perturb the caches and TLBs and

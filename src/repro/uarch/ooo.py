@@ -4,13 +4,18 @@ Execution model
 ---------------
 Instructions dispatch in program order into a reorder buffer and
 reservation stations, execute as their operands become ready, and
-commit strictly in order at ``commit_width`` per cycle.  The functional
-(rename-file) state executes eagerly at dispatch — the register file
-``state.regs`` always holds the newest speculative values, while
-``arch_regs`` tracks the committed view the ROB writes back to — and
-takes its decoding and ALU/branch values from :mod:`repro.isa.semantics`
-like the in-order core, so the architectural results are
-instruction-for-instruction identical to it.  What differs is *time*: per-register ready times, ROB /
+commit strictly in order at ``commit_width`` per cycle.  This core is
+timing only: every instruction's architectural effects — registers,
+memory, predictor, shadow stack, instruction-mix PMU events — come
+from the in-order core's executor :func:`repro.cpu.cpu.execute`, run
+eagerly at dispatch, so the results are instruction-for-instruction
+identical to it.  The register file ``state.regs`` therefore always
+holds the newest values (it is the rename file), while ``arch_regs``
+tracks the committed view the ROB writes back to.  What differs is
+*time*: the executor reports data latencies, mispredicts, BTB misses
+and serialising instructions through hooks, and the opcode operand
+table :data:`repro.isa.semantics.OPERANDS` gives each instruction's
+source and destination registers.  Per-register ready times, ROB /
 reservation-station / LSQ occupancy and the commit stream produce the
 cycle counter, so load misses overlap with independent work, long
 dividers hide behind ALU chains, and ``rdcycle`` (a serialising read,
@@ -21,9 +26,12 @@ Speculation
 On a branch misprediction the wrong path executes in the ROB's *free
 slots* — reorder-buffer depth, not a fixed window, bounds transient
 execution, which is the microarchitectural knob Spectre exploits on
-real OoO hardware (Kocher et al.).  The walk itself is the in-order
-core's: :func:`repro.cpu.cpu.speculate`, called with
-``rob.free_slots()`` as its window.  It runs on a shadow register file
+real OoO hardware (Kocher et al.).  The executor's ``_mispredict``
+hook only records the wrong-path pc; ``run()`` recovers once the
+branch's completion time is known, fetch restarting a penalty after
+it.  The walk itself is the in-order core's:
+:func:`repro.cpu.cpu.speculate`, called with ``rob.free_slots()`` as
+its window.  It runs on a shadow register file
 and a store buffer (wrong-path stores never reach memory), so nothing
 in the ROB, the rename file or ``arch_regs`` changes; its instruction
 and data fetches still fill the caches and TLBs — the covert channel —
@@ -32,29 +40,31 @@ The signature still differs from the in-order core's because the
 window breathes with ROB occupancy instead of being a constant.
 
 Serialising instructions (``rdcycle``, ``mfence``, ``clflush``,
-``syscall``, ``halt``) drain the ROB and retire immediately; every exit
-path of ``run()`` drains it too, so cross-quantum state is always
-architectural and a run is bit-deterministic regardless of how
-``run()`` calls slice it.
+``syscall``) drain the ROB through the executor's ``_serialize`` hook
+before they read the clock or hand state to a syscall handler, and
+retire immediately; every exit path of ``run()`` (``halt`` included)
+drains it too, so cross-quantum state is always architectural and a
+run is bit-deterministic regardless of how ``run()`` calls slice it.
 """
 
 import dataclasses
 
 from repro.branch.predictor import BranchPredictor
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cpu.cpu import CpuConfig, decode_at, speculate
+from repro.cpu.cpu import (
+    CpuConfig,
+    decode_at,
+    execute,
+    extra_cycles,
+    speculate,
+)
 from repro.cpu.pmu import Pmu
 from repro.cpu.shadow_stack import ShadowStack
 from repro.cpu.state import CpuState
-from repro.errors import (
-    CpuFault,
-    PrivilegeFault,
-    ShadowStackViolation,
-)
+from repro.isa.registers import SP
 from repro.isa.semantics import (
-    ADD, ADDI, ALU, BEQ, BGEU, CALL, CALLR, CLFLUSH, HALT, INSTRUCTION_SIZE,
-    JMP, JMPR, LB, LI, LW, MASK32, MFENCE, MOD, MOV, MUL, MULI, NOP, POP,
-    PUSH, RDCYCLE, RDINSTRET, RET, SB, SLTI, SLTU, SW, SYSCALL, TAKEN,
+    ADD, BEQ, HALT, JMP, LW, NOP, OPERANDS, RDINSTRET, READS_RS1,
+    READS_RS2, SYSCALL, USES_SP, WRITES_RD,
 )
 from repro.mem.tlb import Tlb
 from repro.obs.prof import current_profiler
@@ -65,8 +75,27 @@ from repro.uarch.structures import (
     LoadStoreQueue,
     ReorderBuffer,
     ReservationStations,
-    RobEntry,
 )
+
+
+def _unit(op):
+    """Where *op* issues: a reservation-station pool ("alu", "mem",
+    "br"), "nop" (a ROB slot only), "serial" (drains the ROB and
+    retires alone) or None (halt, which allocates nothing)."""
+    if ADD <= op < LW or op == RDINSTRET:
+        return "alu"
+    if LW <= op < BEQ:
+        return "mem"
+    if BEQ <= op < SYSCALL:
+        return "br"
+    if op == NOP:
+        return "nop"
+    return None if op == HALT else "serial"
+
+
+#: ``_resteer`` values besides a mispredict's wrong-path pc (or None).
+_NO_RESTEER = object()
+_BTB_MISS = object()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,6 +168,17 @@ class OooCore:
         self._last_commit = 0.0
         self._inv_commit = 1.0 / p.commit_width
         self._seq = 0
+        #: ``_schedule[op]``: (issue unit, operand flags, execution
+        #: latency) — loads take their data latency instead, and jumps
+        #: and nops complete at dispatch.
+        self._schedule = tuple(
+            (_unit(op), OPERANDS[op],
+             0.0 if op in (JMP, NOP) else 1.0 + extra)
+            for op, extra in enumerate(extra_cycles(self.config))
+        )
+        #: Set by the executor's branch hooks, consumed by run() once
+        #: the branch's completion time is known.
+        self._resteer = _NO_RESTEER
         #: Tests may set this to a list to record (seq, pc) per commit
         #: and pin the in-order-commit invariant.
         self.commit_log = None
@@ -203,49 +243,62 @@ class OooCore:
         """A store reached an executable segment: decode cache is stale."""
         self._decode_cache.clear()
 
+    def _flush_code_line(self, address):
+        """``clflush`` hit a code line: refetch it through decode."""
+        self._decode_cache.clear()
+
+    # ------------------------------------------------------------------
+    # executor hooks
+    # ------------------------------------------------------------------
+    def _charge_data_access(self, address, is_write):
+        """Account one data access; run() schedules its latency."""
+        self.dtlb.access(address)
+        latency = self.caches.data_access_fast(address, is_write)[0]
+        extra = latency - self._l1_latency
+        if extra > 0:
+            self.pmu.counters["memory_stall_cycles"] += extra
+        return latency
+
+    def _mispredict(self, wrong_path_pc):
+        """Recover (run the wrong path, charge the penalty) once the
+        branch resolves — run() knows when."""
+        self._resteer = wrong_path_pc
+
+    def _btb_miss(self):
+        """No predicted target: fetch restarts once the branch resolves."""
+        self._resteer = _BTB_MISS
+
     # ------------------------------------------------------------------
     # commit port
     # ------------------------------------------------------------------
     def _commit_head(self):
         """Retire the ROB head; returns its commit time."""
-        entry = self.rob.pop_head()
+        seq, pc, unit, completion, writes = self.rob.pop_head()
         slot = self._last_commit + self._inv_commit
-        if entry.completion > slot:
-            slot = entry.completion
+        if completion > slot:
+            slot = completion
         self._last_commit = slot
         if slot > self.cycles:
             self.cycles = slot
         arch = self.arch_regs
-        for register, value in entry.writes:
+        for register, value in writes:
             arch[register] = value
-        if entry.kind == "mem":
-            self.lsq.release(entry.seq)
+        if unit == "mem":
+            self.lsq.release(seq)
         log = self.commit_log
         if log is not None:
-            log.append((entry.seq, entry.pc))
+            log.append((seq, pc))
         return slot
-
-    def _commit_until(self, now):
-        """Retire every head entry whose commit slot is due by *now*."""
-        entries = self.rob.entries
-        inv_commit = self._inv_commit
-        while entries:
-            head = entries[0]
-            slot = self._last_commit + inv_commit
-            if head.completion > slot:
-                slot = head.completion
-            if slot > now:
-                break
-            self._commit_head()
 
     def _drain(self):
         """Retire the whole ROB (quantum boundary, fault, serialise)."""
         while self.rob.entries:
             self._commit_head()
 
-    def _serialize(self, fclock, extra=0.0):
-        """Drain, then retire a serialising op; returns the new fetch
-        clock (== ``self.cycles``: the machine is momentarily in-order).
+    def _serialize(self, latency):
+        """Drain, then retire a serialising op after *latency*: the
+        fetch clock and ``self.cycles`` meet (the machine is
+        momentarily in-order).
         """
         metrics = self._metrics
         if metrics is not None and self.rob.entries:
@@ -264,12 +317,12 @@ class OooCore:
         else:
             self._drain()
         t = self.cycles
-        if fclock > t:
-            t = fclock
-        t += extra
+        if self._fetch_clock > t:
+            t = self._fetch_clock
+        t += latency
         self.cycles = t
         self._last_commit = t
-        return t
+        self._fetch_clock = t
 
     # ------------------------------------------------------------------
     # misprediction recovery
@@ -328,6 +381,10 @@ class OooCore:
     def run(self, max_instructions=None):
         """Dispatch/commit until halt (or budget); returns retired count.
 
+        Each instruction's architectural effects come from the shared
+        executor :func:`repro.cpu.cpu.execute`; this loop adds only the
+        Tomasulo clock around it — structural stalls before, operand
+        ready times, ROB/RS/LSQ allocation and fetch redirects after.
         One loop serves traced and untraced runs: ``self.cycles`` only
         moves at commit/serialise points, which is where every trace
         emission happens, so the channels always observe a live clock.
@@ -338,44 +395,22 @@ class OooCore:
         state = self.state
         if state.halted:
             return 0
-        config = self.config
         counters = self.pmu.counters
-        predictor = self.predictor
-        memory = self.memory
-        caches = self.caches
         rob_entries = self.rob.entries
         rob_depth = self.rob.depth
+        inv_commit = self._inv_commit
+        rs_pools = self.rs.pools
+        rs_capacities = self.rs.capacities
         rs_acquire = self.rs.acquire
-        rs_issue = self.rs.issue
-        lsq = self.lsq
-        lsq_entries = lsq.entries
-        lsq_depth = lsq.depth
+        lsq_entries = self.lsq.entries
+        lsq_depth = self.lsq.depth
         dcache_get = self._decode_cache.get
-        load_word = memory.load_word
-        load_byte = memory.load_byte
-        store_word = memory.store_word
-        store_byte = memory.store_byte
-        dtlb_access = self.dtlb.access
         itlb_access = self.itlb.access
-        icache_fast = caches.instruction_access_fast
-        data_fast = caches.data_access_fast
-        predict_conditional = predictor.predict_conditional
-        resolve_conditional = predictor.resolve_conditional
-        predict_indirect = predictor.predict_indirect
-        resolve_indirect = predictor.resolve_indirect
-        on_call = predictor.on_call
-        shadow = self.shadow_stack
+        icache_fast = self.caches.instruction_access_fast
         base_cost = self._base_cost
         l1_latency = self._l1_latency
-        mul_extra = config.mul_extra
-        div_extra = config.div_extra
-        btb_miss_penalty = config.btb_miss_penalty
-        fence_latency = config.fence_latency
-        fence_stall = int(config.fence_latency)
-        clflush_latency = config.clflush_latency
-        syscall_latency = config.syscall_latency
-        clflush_privileged = config.clflush_privileged
-        size = INSTRUCTION_SIZE
+        schedule = self._schedule
+        btb_miss_penalty = self.config.btb_miss_penalty
         watchdog = self.watchdog
         stride = self.WATCHDOG_STRIDE
         limit = -1 if max_instructions is None else max_instructions
@@ -402,7 +437,6 @@ class OooCore:
 
         regs = state.regs
         ready = self._ready
-        pc = state.pc
         fclock = self._fetch_clock
         last_iline = self._last_iline
         last_ipage = self._last_ipage
@@ -413,6 +447,7 @@ class OooCore:
                 if executed == limit:
                     break
 
+                pc = state.pc
                 entry = dcache_get(pc)
                 if entry is None:
                     entry = decode_at(self, pc)
@@ -430,9 +465,7 @@ class OooCore:
                     last_ipage = page
                     itlb_access(pc)
 
-                op, rd, rs1, rs2, imm = entry
-                next_pc = (pc + size) & MASK32
-                counters["instructions"] += 1
+                op, rd, rs1, rs2, _imm = entry
                 seq = self._seq
                 self._seq = seq + 1
                 if cursor is not None:
@@ -445,7 +478,14 @@ class OooCore:
                 # Dispatch: retire whatever is due, then stall on
                 # structural hazards (full ROB / stations / LSQ).
                 dispatch = fclock
-                self._commit_until(dispatch)
+                while rob_entries:
+                    slot = self._last_commit + inv_commit
+                    completion = rob_entries[0][3]
+                    if completion > slot:
+                        slot = completion
+                    if slot > dispatch:
+                        break
+                    self._commit_head()
                 if len(rob_entries) >= rob_depth:
                     if tr_dispatch is not None:
                         stall_ts = tr_dispatch.now()
@@ -459,460 +499,93 @@ class OooCore:
                         tr_dispatch.complete("ooo.dispatch.stall",
                                              stall_ts, pc=pc,
                                              rob=stall_occ)
-                if op >= ADD:
-                    if op < LW:
-                        kind = "alu"
-                    elif op < BEQ:
-                        kind = "mem"
-                    elif op < SYSCALL:
-                        kind = "br"
-                    elif op == RDINSTRET:
-                        kind = "alu"
-                    else:
-                        kind = None     # serialising
-                else:
-                    kind = None         # nop / halt
-                if kind is not None:
-                    stalled = rs_acquire(kind, dispatch)
-                    if stalled > dispatch:
-                        dispatch = stalled
-                    if kind == "mem":
-                        if len(lsq_entries) >= lsq_depth:
-                            if tr_lsq is not None:
-                                stall_ts = tr_lsq.now()
-                            while len(lsq_entries) >= lsq_depth:
-                                slot = self._commit_head()
-                                lsq_stalls += 1
-                                if slot > dispatch:
-                                    dispatch = slot
-                            if tr_lsq is not None:
-                                tr_lsq.complete("ooo.lsq.stall",
-                                                stall_ts, pc=pc)
+                unit, operands, latency = schedule[op]
+                pool = rs_pools.get(unit)
+                if pool is not None:
+                    if len(pool) >= rs_capacities[unit]:
+                        stalled = rs_acquire(unit, dispatch)
+                        if stalled > dispatch:
+                            dispatch = stalled
+                    if unit == "mem" and len(lsq_entries) >= lsq_depth:
+                        if tr_lsq is not None:
+                            stall_ts = tr_lsq.now()
+                        while len(lsq_entries) >= lsq_depth:
+                            slot = self._commit_head()
+                            lsq_stalls += 1
+                            if slot > dispatch:
+                                dispatch = slot
+                        if tr_lsq is not None:
+                            tr_lsq.complete("ooo.lsq.stall",
+                                            stall_ts, pc=pc)
                 fclock = dispatch + base_cost
 
-                if ADDI <= op <= SLTI:
-                    counters["alu_instructions"] += 1
-                    latency = 1.0
-                    if op == MULI:
-                        counters["mul_div_instructions"] += 1
-                        latency += mul_extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    rs_issue("alu", done)
-                    writes = ()
-                    if rd:
-                        value = ALU[op](regs[rs1], imm)
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "alu", done, writes)
-                    )
-                elif ADD <= op <= SLTU:
-                    counters["alu_instructions"] += 1
-                    latency = 1.0
-                    if MUL <= op <= MOD:
-                        counters["mul_div_instructions"] += 1
-                        latency += (div_extra if op != MUL
-                                    else mul_extra)
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    rs_issue("alu", done)
-                    writes = ()
-                    if rd:
-                        value = ALU[op](regs[rs1], regs[rs2])
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "alu", done, writes)
-                    )
-                elif op == LI:
-                    counters["alu_instructions"] += 1
-                    done = dispatch + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
-                    if rd:
-                        value = imm & MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "alu", done, writes)
-                    )
-                elif op == MOV:
-                    counters["alu_instructions"] += 1
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
-                    if rd:
-                        value = regs[rs1]
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "alu", done, writes)
-                    )
-                elif op == LW or op == LB:
-                    counters["load_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    value = (load_word(address) if op == LW
-                             else load_byte(address))
-                    dtlb_access(address)
-                    latency = data_fast(address, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    writes = ()
-                    if rd:
-                        value &= MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "mem", done, writes)
-                    )
-                elif op == SW or op == SB:
-                    counters["store_instructions"] += 1
-                    address = (regs[rs1] + imm) & MASK32
-                    if op == SW:
-                        store_word(address, regs[rs2])
-                    else:
-                        store_byte(address, regs[rs2])
-                    dtlb_access(address)
-                    extra = data_fast(address, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    # Stores retire from the store queue off the
-                    # critical path: the miss latency is not serialised
-                    # into the dependency chain.
-                    done = start + 1.0
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "mem", done)
-                    )
-                elif op == PUSH:
-                    counters["stack_instructions"] += 1
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, regs[rs1])
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "mem", done, ((13, sp),))
-                    )
-                elif op == POP:
-                    counters["stack_instructions"] += 1
-                    sp = regs[13]
-                    value = load_word(sp)
-                    dtlb_access(sp)
-                    latency = data_fast(sp, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    new_sp = (sp + 4) & MASK32
-                    regs[13] = new_sp
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    ready[13] = done
-                    rs_issue("mem", done)
-                    lsq_entries.append((seq, done))
-                    writes = ((13, new_sp),)
-                    if rd:
-                        value &= MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((13, new_sp), (rd, value))
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "mem", done, writes)
-                    )
-                elif BEQ <= op <= BGEU:
-                    counters["branch_instructions"] += 1
-                    counters["cond_branch_instructions"] += 1
-                    taken = TAKEN[op](regs[rs1], regs[rs2])
-                    predicted = predict_conditional(pc)
-                    mispredicted = resolve_conditional(pc, predicted,
-                                                       taken)
-                    if taken:
-                        counters["branches_taken"] += 1
-                        next_pc = (pc + imm) & MASK32
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    t = ready[rs2]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done)
-                    )
-                    if mispredicted:
-                        wrong_path = (
-                            (pc + imm) & MASK32 if predicted
-                            else (pc + size) & MASK32
-                        )
-                        fclock = self._recover(pc, wrong_path, done,
-                                               fclock)
-                elif op == JMP:
-                    counters["branch_instructions"] += 1
-                    rs_issue("br", dispatch)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", dispatch)
-                    )
-                    next_pc = (pc + imm) & MASK32
-                elif op == JMPR:
-                    counters["branch_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted,
-                                                    target)
-                    start = dispatch
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done)
-                    )
-                    if predicted is None:
-                        if fclock < done:
-                            fclock = done
-                        fclock += btb_miss_penalty
-                    elif mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
-                    next_pc = target
-                elif op == CALL:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done, ((13, sp),))
-                    )
-                    next_pc = (pc + imm) & MASK32
-                elif op == CALLR:
-                    counters["branch_instructions"] += 1
-                    counters["call_instructions"] += 1
-                    counters["indirect_jump_instructions"] += 1
-                    target = (regs[rs1] + imm) & MASK32
-                    predicted = predict_indirect(pc)
-                    mispredicted = resolve_indirect(pc, predicted,
-                                                    target)
-                    return_address = next_pc
-                    sp = (regs[13] - 4) & MASK32
-                    regs[13] = sp
-                    store_word(sp, return_address)
-                    dtlb_access(sp)
-                    extra = data_fast(sp, True)[0] - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    on_call(return_address)
-                    if shadow is not None:
-                        shadow.on_call(return_address)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    t = ready[rs1]
-                    if t > start:
-                        start = t
-                    done = start + 1.0
-                    ready[13] = done
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done, ((13, sp),))
-                    )
-                    if predicted is None:
-                        if fclock < done:
-                            fclock = done
-                        fclock += btb_miss_penalty
-                    elif mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
-                    next_pc = target
-                elif op == RET:
-                    counters["branch_instructions"] += 1
-                    counters["ret_instructions"] += 1
-                    sp = regs[13]
-                    target = load_word(sp)
-                    dtlb_access(sp)
-                    latency = data_fast(sp, False)[0]
-                    extra = latency - l1_latency
-                    if extra > 0:
-                        counters["memory_stall_cycles"] += extra
-                    new_sp = (sp + 4) & MASK32
-                    regs[13] = new_sp
-                    if shadow is not None:
-                        try:
-                            shadow.on_return(target)
-                        except ShadowStackViolation:
-                            if self._tr_cpu is not None:
-                                self._tr_cpu.event(
-                                    "cpu.shadow_divergence",
-                                    pc=pc, target=target,
-                                )
-                            raise
-                    predicted = predictor.predict_return()
-                    mispredicted = predictor.resolve_return(predicted,
-                                                            target)
-                    start = dispatch
-                    t = ready[13]
-                    if t > start:
-                        start = t
-                    done = start + latency
-                    ready[13] = done
-                    rs_issue("br", done)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "br", done, ((13, new_sp),))
-                    )
-                    if mispredicted:
-                        fclock = self._recover(pc, predicted, done,
-                                               fclock)
-                    next_pc = target
-                elif op == CLFLUSH:
-                    counters["clflush_instructions"] += 1
-                    if clflush_privileged and not self.kernel_mode:
-                        raise PrivilegeFault(
-                            "clflush is disabled for non-privileged "
-                            "code (countermeasure active)"
-                        )
-                    address = (regs[rs1] + imm) & MASK32
-                    caches.flush_line(address)
-                    fclock = self._serialize(fclock, clflush_latency)
-                elif op == MFENCE:
-                    counters["mfence_instructions"] += 1
-                    fclock = self._serialize(fclock, fence_latency)
-                    counters["fence_stall_cycles"] += fence_stall
-                elif op == RDCYCLE:
-                    counters["alu_instructions"] += 1
-                    fclock = self._serialize(fclock)
-                    if rd:
-                        value = int(fclock) & MASK32
-                        regs[rd] = value
-                        self.arch_regs[rd] = value
-                        ready[rd] = fclock
-                elif op == RDINSTRET:
-                    counters["alu_instructions"] += 1
-                    done = dispatch + 1.0
-                    rs_issue("alu", done)
-                    writes = ()
-                    if rd:
-                        value = counters["instructions"] & MASK32
-                        regs[rd] = value
-                        ready[rd] = done
-                        writes = ((rd, value),)
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "alu", done, writes)
-                    )
-                elif op == SYSCALL:
-                    counters["syscall_instructions"] += 1
-                    fclock = self._serialize(fclock, syscall_latency)
-                    handler = self.syscall_handler
-                    if handler is None:
-                        raise CpuFault(
-                            f"syscall at {pc:#010x} with no handler"
-                        )
-                    # Sync the architectural state the handler sees —
-                    # then reload everything it may have changed
-                    # (``execve`` remaps memory, resets the pipeline
-                    # and installs a *new* regs list).
-                    pc = next_pc
-                    state.pc = pc
+                if unit == "serial":
+                    # The executor's _serialize hook drains the ROB and
+                    # moves the fetch clock, and a syscall handler may
+                    # change anything (``execve`` remaps memory, resets
+                    # the pipeline and installs a *new* regs list): the
+                    # object holds the truth while it runs.
                     self._fetch_clock = fclock
                     self._last_iline = last_iline
                     self._last_ipage = last_ipage
-                    handler(self)
-                    regs = state.regs
-                    ready = self._ready
-                    pc = state.pc
-                    fclock = self._fetch_clock
+                    try:
+                        execute(self, pc, entry)
+                    finally:
+                        fclock = self._fetch_clock
                     if fclock < self.cycles:
                         fclock = self.cycles
+                    regs = state.regs
+                    ready = self._ready
                     last_iline = self._last_iline
                     last_ipage = self._last_ipage
                     self.arch_regs = list(regs)
-                    executed += 1
-                    if watchdog is not None and executed % stride == 0:
-                        watchdog.charge(stride)
-                    continue
-                elif op == NOP:
-                    rob_entries.append(
-                        RobEntry(seq, pc, op, "nop", dispatch)
-                    )
-                elif op == HALT:
-                    state.halted = True
-                    next_pc = pc
-                else:  # pragma: no cover - every opcode handled above
-                    raise CpuFault(
-                        f"unhandled opcode {op:#04x} at {pc:#010x}"
-                    )
+                    if rd and operands & WRITES_RD:
+                        ready[rd] = fclock
+                elif unit is not None:
+                    read_latency = execute(self, pc, entry)
+                    if read_latency is not None:
+                        latency = read_latency  # a load waits for its data
+                    # Issue once every source operand is ready.
+                    start = dispatch
+                    if operands & READS_RS1:
+                        t = ready[rs1]
+                        if t > start:
+                            start = t
+                    if operands & READS_RS2:
+                        t = ready[rs2]
+                        if t > start:
+                            start = t
+                    if operands & USES_SP:
+                        t = ready[SP]
+                        if t > start:
+                            start = t
+                    done = start + latency
+                    writes = ()
+                    if operands & USES_SP:
+                        ready[SP] = done
+                        writes = ((SP, regs[SP]),)
+                    if rd and operands & WRITES_RD:
+                        ready[rd] = done
+                        writes += ((rd, regs[rd]),)
+                    if pool is not None:
+                        pool.append(done)
+                        if unit == "mem":
+                            lsq_entries.append(seq)
+                    rob_entries.append((seq, pc, unit, done, writes))
+                    resteer = self._resteer
+                    if resteer is not _NO_RESTEER:
+                        # Fetch restarts once the branch resolves.
+                        self._resteer = _NO_RESTEER
+                        if resteer is _BTB_MISS:
+                            if fclock < done:
+                                fclock = done
+                            fclock += btb_miss_penalty
+                        else:
+                            fclock = self._recover(pc, resteer, done,
+                                                   fclock)
+                else:
+                    execute(self, pc, entry)    # halt: nothing to schedule
 
-                pc = next_pc
                 executed += 1
                 if watchdog is not None and executed % stride == 0:
                     watchdog.charge(stride)
@@ -921,7 +594,6 @@ class OooCore:
             # memory fault — drains the ROB (older work commits; the
             # faulting instruction never allocated) and leaves every
             # observable in the object.
-            state.pc = pc
             self._fetch_clock = fclock
             self._last_iline = last_iline
             self._last_ipage = last_ipage

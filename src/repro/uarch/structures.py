@@ -17,31 +17,17 @@ the commit stream.
 from collections import deque
 
 
-class RobEntry:
-    """One in-flight instruction, allocated at dispatch in program order."""
-
-    __slots__ = ("seq", "pc", "op", "kind", "completion", "writes")
-
-    def __init__(self, seq, pc, op, kind, completion, writes=()):
-        self.seq = seq
-        self.pc = pc
-        self.op = op
-        self.kind = kind                  # "alu" | "mem" | "br"
-        self.completion = completion      # result-ready time (cycles)
-        self.writes = writes              # ((reg, value), ...) at commit
-
-    def __repr__(self):
-        return (f"<RobEntry #{self.seq} pc={self.pc:#x} kind={self.kind}"
-                f" done={self.completion:.2f}>")
-
-
 class ReorderBuffer:
     """Program-ordered window of in-flight instructions.
 
     Entries enter at the tail at dispatch and leave at the head at
-    commit — strictly in order.  Only the architectural path allocates
-    entries: wrong-path instructions run in the free slots without
-    occupying them.
+    commit — strictly in order.  An entry is one in-flight instruction,
+    the plain tuple ``(seq, pc, unit, completion, writes)``: its
+    sequence number, pc and issue unit (``"alu"``, ``"mem"``, ``"br"``
+    or ``"nop"``), its result-ready time in cycles and the
+    ``((register, value), ...)`` it writes back at commit.  Only the
+    architectural path allocates entries: wrong-path instructions run
+    in the free slots without occupying them.
     """
 
     def __init__(self, depth):
@@ -51,23 +37,9 @@ class ReorderBuffer:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def full(self):
-        return len(self.entries) >= self.depth
-
     def free_slots(self):
         """Unallocated entries — the transient-execution window."""
         return max(0, self.depth - len(self.entries))
-
-    def append(self, entry):
-        self.entries.append(entry)
-        return entry
-
-    def head(self):
-        return self.entries[0]
 
     def pop_head(self):
         return self.entries.popleft()
@@ -80,9 +52,10 @@ class ReservationStations:
     """One bounded issue pool per functional-unit kind.
 
     Modelled as the completion times of the occupying instructions: an
-    entry frees once its instruction's result is ready.  ``acquire``
-    returns the (possibly stalled) dispatch time — structural hazards
-    push fetch, exactly like a full ROB does.
+    entry frees once its instruction's result is ready.  The core
+    appends to ``pools[kind]`` when it issues and calls ``acquire`` when
+    a pool is full; ``acquire`` returns the (possibly stalled) dispatch
+    time — structural hazards push fetch, exactly like a full ROB does.
     """
 
     def __init__(self, capacities):
@@ -99,9 +72,6 @@ class ReservationStations:
                 pool[:] = [t for t in pool if t > now]
         return now
 
-    def issue(self, kind, completion):
-        self.pools[kind].append(completion)
-
     def clear(self):
         for pool in self.pools.values():
             pool.clear()
@@ -113,8 +83,8 @@ class LoadStoreQueue:
     Functional memory effects happen at dispatch (the rename file is
     eager), so the queue models *capacity*: a full LSQ stalls dispatch
     of the next memory op until the oldest in-flight one commits.
-    Entries are (seq, completion) pairs; the core releases them as
-    their instructions commit.
+    Entries are the sequence numbers of in-flight memory ops; the core
+    appends them at dispatch and releases them as they commit.
     """
 
     def __init__(self, depth):
@@ -124,16 +94,9 @@ class LoadStoreQueue:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def full(self):
-        return len(self.entries) >= self.depth
-
-    def push(self, seq, completion):
-        self.entries.append((seq, completion))
-
     def release(self, seq):
         """Retire the queue entry for a committing instruction."""
-        if self.entries and self.entries[0][0] == seq:
+        if self.entries and self.entries[0] == seq:
             self.entries.popleft()
 
     def clear(self):

@@ -12,12 +12,14 @@ tests might miss.
 
 Generated counted loops — ALU ops, loads and stores, block-ending
 timing reads, fences and data ``clflush``, a data-dependent forward
-branch and a call to a leaf — run long enough to cross the superblock
-engine's hot threshold, and run under both engines (``sb`` and
-``step``) paused at drawn chunk sizes; the whole observable machine
-must agree at every pause.  The same loops (minus ``rdcycle``, whose
-value is a cycle count) also run on the in-order and the out-of-order
-core, whose architectural state must agree at every pause.
+branch, a direct or register-indirect call to a leaf and an optional
+indirect jump with a data-dependent target — run long enough to cross
+the superblock engine's hot threshold, and run under both engines
+(``sb`` and ``step``) paused at drawn chunk sizes; the whole observable
+machine must agree at every pause.  The same loops (minus ``rdcycle``,
+whose value is a cycle count) also run on the in-order and the
+out-of-order core, whose architectural state and instruction-mix and
+branch-prediction PMU events must agree at every pause.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cpu import engine_override
 from repro.cpu.cpu import Cpu
+from repro.cpu.pmu import EVENT_NAMES
 from repro.cpu.superblock import SuperblockEngine
 from repro.isa.encoding import INSTRUCTION_SIZE, encode_program
 from repro.isa.instruction import Instruction
@@ -292,13 +295,17 @@ def _loop_program(draw, rdcycle=True):
     Layout::
 
         loop:  head; <forward branch over skipped>; skipped
-               call leaf; tail
+               call leaf | li r12, leaf; callr r12
+               [andi r12, rX, 1; shli r12, r12, 3; jmpr r12, skip; skip: nop]
+               tail
                addi r1, r1, -1; bne r1, zero, loop; halt
         leaf:  leaf body; ret
 
-    The tail holds no block-ending op, so ``tail; addi; bne`` always
-    compiles once hot.  ``rdcycle=False`` leaves the cycle-counter read
-    out of the draw.
+    The optional ``jmpr`` lands on the ``nop`` or just past it, as the
+    low bit of rX says (of the counter r1, it alternates every
+    iteration: an indirect mispredict each time).  The tail holds no
+    block-ending op, so ``tail; addi; bne`` always compiles once hot.
+    ``rdcycle=False`` leaves the cycle-counter read out of the draw.
     """
     item = _loop_item(rdcycle=rdcycle)
     head = _flat(draw(st.lists(item, min_size=1, max_size=6)))
@@ -321,15 +328,32 @@ def _loop_program(draw, rdcycle=True):
         branch = [Instruction(op, rs1=a, rs2=b, imm=offset)]
     body = head + branch + skipped
     call_index = len(body)
-    body.append(None)  # the call, patched once the leaf's pc is known
+    # the call, patched once the leaf's pc is known
+    indirect_call = draw(st.booleans())
+    body += [None, None] if indirect_call else [None]
+    if draw(st.booleans()):
+        nop_pc = _TEXT + (len(body) + 3) * INSTRUCTION_SIZE
+        body += [
+            Instruction(Opcode.ANDI, rd=_SCRATCH,
+                        rs1=draw(st.sampled_from((_COUNTER,)) | _ANY_REG),
+                        imm=1),
+            Instruction(Opcode.SHLI, rd=_SCRATCH, rs1=_SCRATCH, imm=3),
+            Instruction(Opcode.JMPR, rs1=_SCRATCH, imm=nop_pc),
+            Instruction(Opcode.NOP),
+        ]
     body += tail
     body.append(Instruction(Opcode.ADDI, rd=_COUNTER, rs1=_COUNTER,
                             imm=-1))
     body.append(Instruction(Opcode.BNE, rs1=_COUNTER, rs2=0,
                             imm=-len(body) * INSTRUCTION_SIZE))
     body.append(Instruction(Opcode.HALT))
-    body[call_index] = Instruction(
-        Opcode.CALL, imm=(len(body) - call_index) * INSTRUCTION_SIZE)
+    if indirect_call:
+        body[call_index] = Instruction(
+            Opcode.LI, rd=_SCRATCH, imm=_TEXT + len(body) * INSTRUCTION_SIZE)
+        body[call_index + 1] = Instruction(Opcode.CALLR, rs1=_SCRATCH)
+    else:
+        body[call_index] = Instruction(
+            Opcode.CALL, imm=(len(body) - call_index) * INSTRUCTION_SIZE)
     program = body + leaf + [Instruction(Opcode.RET)]
 
     regs = draw(st.lists(_WORD, min_size=16, max_size=16))
@@ -385,13 +409,27 @@ def _machine(cpu):
     }
 
 
+#: The PMU events both cores must agree on: the 15 of the instruction
+#: mix and the 7 of branch prediction.  Cycles, stalls, caches, TLBs
+#: and ``spec_*`` legitimately differ: the cores differ in time and in
+#: the speculation window.
+_SHARED_EVENTS = (
+    EVENT_NAMES[:EVENT_NAMES.index("cycles")]
+    + EVENT_NAMES[EVENT_NAMES.index("branch_mispredictions"):
+                  EVENT_NAMES.index("l1d_accesses")]
+)
+assert len(_SHARED_EVENTS) == 22
+
+
 def _architectural(cpu):
-    """The committed machine: regs, pc, retired count, data and stack."""
+    """The committed machine: regs, pc, data and stack, and the
+    instruction-mix and branch-prediction events."""
+    events = cpu.pmu.read()
     return {
         "regs": list(cpu.state.regs),
         "pc": cpu.state.pc,
         "halted": cpu.state.halted,
-        "instructions": cpu.pmu.read()["instructions"],
+        "events": {name: events[name] for name in _SHARED_EVENTS},
         "memory": _memory_digest(cpu),
     }
 
@@ -429,7 +467,8 @@ class TestGeneratedLoopsSbVsStep:
 
 
 class TestGeneratedLoopsInorderVsOoo:
-    """inorder ≡ ooo on the committed machine at every pause."""
+    """inorder ≡ ooo on the committed machine and the shared PMU events
+    at every pause."""
 
     @_GENERATED
     @given(_loop_program(rdcycle=False),

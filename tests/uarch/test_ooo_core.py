@@ -1,5 +1,6 @@
 """The out-of-order core: architectural equivalence, ROB invariants,
-and the transient covert channel.
+the transient covert channel, and the operand table its scheduler
+reads.
 
 The OoO core must be *architecturally* indistinguishable from the
 in-order reference (same registers, memory effects, instruction counts,
@@ -11,7 +12,14 @@ buffer depth, not by the in-order core's fixed ``spec_window``.
 import pytest
 
 from repro.attack import SPECTRE_VARIANTS, SpectreConfig, build_spectre
+from repro.cpu.cpu import Cpu, execute
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import SP
+from repro.isa.semantics import (
+    OPERANDS, READS_RS1, READS_RS2, USES_SP, WRITES_RD,
+)
 from repro.kernel import System, build_binary
+from repro.mem.memory import Memory, PERM_R, PERM_W, PERM_X
 from repro.uarch import OooParams
 from repro.workloads import get_workload
 from tests.conftest import SECRET, run_source
@@ -340,3 +348,62 @@ class TestSpecCountersMatchInOrder:
             assert snap["spec_instructions"] > 0
             assert snap["squashed_instructions"] == \
                 snap["spec_instructions"]
+
+
+def _execute_once(op, regs):
+    """One ``op`` (rd=r3, rs1=r4, rs2=r5, imm=16) through the shared
+    executor from *regs*; the registers, pc and data/stack bytes after."""
+    memory = Memory()
+    memory.map_segment("text", 0x1000, 0x1000, PERM_R | PERM_X)
+    memory.map_segment("data", 0x40000, 0x1000, PERM_R | PERM_W)
+    memory.write_bytes(0x40000, bytes(range(256)) * 16)
+    memory.map_segment("stack", 0x7F000, 0x1000, PERM_R | PERM_W)
+    cpu = Cpu(memory)
+    cpu.state.regs[:] = regs
+    execute(cpu, 0x1000, (op, 3, 4, 5, 16))
+    return (list(cpu.state.regs), cpu.state.pc,
+            memory.read_bytes(0x40000, 0x1000)
+            + memory.read_bytes(0x7F000, 0x1000))
+
+
+class TestOperandTable:
+    """``OPERANDS``, the scheduler's view of each opcode's registers,
+    matches what the shared executor reads and writes."""
+
+    #: r4 and the stack pointer are word-aligned addresses in the data
+    #: and stack segments, so every memory opcode has a valid operand.
+    REGS = [0, 11, 22, 33, 0x40100, 0x40200, 66, 77, 88, 99, 111, 122,
+            133, 0x7F800, 155, 166]
+
+    @pytest.mark.parametrize(
+        "op", sorted(op for op in Opcode if op not in (Opcode.SYSCALL,
+                                                       Opcode.HALT)))
+    def test_execute_touches_only_declared_registers(self, op):
+        flags = OPERANDS[op]
+        reads = {0}
+        writes = set()
+        if flags & READS_RS1:
+            reads.add(4)
+        if flags & READS_RS2:
+            reads.add(5)
+        if flags & WRITES_RD:
+            writes.add(3)
+        if flags & USES_SP:
+            reads.add(SP)
+            writes.add(SP)
+        regs, pc, memory = _execute_once(op, self.REGS)
+        assert {r for r in range(16) if regs[r] != self.REGS[r]} <= writes
+        # An undeclared source must not change the outcome (the changed
+        # register itself only where it is written); the values flip
+        # every branch condition one way or the other.
+        keep = {r: [i for i in range(16) if i != r or r in writes]
+                for r in range(16)}
+        for r in set(range(16)) - reads:
+            for value in (self.REGS[r] + 4, self.REGS[4], self.REGS[5],
+                          0, 0xFFFFFFFF):
+                changed = list(self.REGS)
+                changed[r] = value
+                other, other_pc, other_memory = _execute_once(op, changed)
+                assert [other[i] for i in keep[r]] == \
+                    [regs[i] for i in keep[r]], (r, value)
+                assert (other_pc, other_memory) == (pc, memory), (r, value)
